@@ -132,7 +132,7 @@ def _sweep_task(task: tuple[int, tuple[int, ...], bool]) -> tuple[int, list[str]
 
     even_sq = is_even_square(disc)
     for k in weights:
-        space = solve_space(fc, graph, k, augmented=augmented)
+        space = solve_space(fc, graph, k, augmented=augmented, orbits=orbits)
         w = -k
         bound = (w + 1) * rf
         lines.append(
@@ -186,6 +186,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _positive_int(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"need a positive integer, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mlp",
@@ -220,7 +227,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="verify the dimension laws over a range")
     p.add_argument("--max-disc", type=int, required=True)
     p.add_argument("--weights", default="0,-2,-4")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--augmented", action="store_true")
     p.set_defaults(func=cmd_sweep)
     return parser

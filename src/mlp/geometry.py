@@ -25,7 +25,7 @@ class InvalidDiscriminant(ValueError):
 
 def check_discriminant(disc: int) -> int:
     """Return disc if it is positive and 0 or 1 mod 4, else raise."""
-    if not isinstance(disc, int) or disc <= 0:
+    if isinstance(disc, bool) or not isinstance(disc, int) or disc <= 0:
         raise InvalidDiscriminant(f"not a discriminant ({disc} is not a positive integer)")
     if disc % 4 not in (0, 1):
         raise InvalidDiscriminant(f"not a discriminant ({disc} ≡ {disc % 4} mod 4)")

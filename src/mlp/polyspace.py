@@ -12,10 +12,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import Sequence, Union
 
 from .arrangement import FaceComplex, OnExceptional, build_arrangement
-from .geometry import AlgebraicPoint, ExactComplex, Mat2, reduce_point
+from .geometry import IDENTITY, AlgebraicPoint, ExactComplex, Mat2, reduce_point
 from .gluing import GluingGraph, Orbit, build_gluing_graph, orbits_and_cycles
 
 
@@ -29,7 +31,7 @@ class OutOfDomain(ValueError):
 
 def check_weight(k: int) -> int:
     """Return w = -k after validating the weight."""
-    if not isinstance(k, int) or k > 0 or k % 2:
+    if isinstance(k, bool) or not isinstance(k, int) or k > 0 or k % 2:
         raise InvalidWeight(f"invalid weight {k} (need an even integer <= 0)")
     return -k
 
@@ -68,9 +70,11 @@ class SlashMatrix:
         )
         return SlashMatrix(prod, self.w)
 
-    def apply(self, vec: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        n = self.w + 1
-        return tuple(sum(self.mat[i][j] * vec[j] for j in range(n)) for i in range(n))
+    def apply(self, vec: Sequence[Union[Fraction, int]]) -> tuple[Fraction, ...]:
+        # integer dot products over one common denominator, one Fraction per entry
+        den = lcm(*(x.denominator for x in vec))
+        nums = [x.numerator * (den // x.denominator) for x in vec]
+        return tuple(Fraction(sum(map(mul, row, nums)), den) for row in self.mat)
 
 
 def slash_matrix(g: Mat2, w: int) -> SlashMatrix:
@@ -82,6 +86,9 @@ def slash_matrix(g: Mat2, w: int) -> SlashMatrix:
         cols.append(_poly_mul(_poly_pow([g.b, g.a], j), _poly_pow([g.d, g.c], w - j)))
     mat = tuple(tuple(cols[j][i] for j in range(w + 1)) for i in range(w + 1))
     return SlashMatrix(mat, w)
+
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fraction, ...]]:
@@ -97,9 +104,11 @@ def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fracti
         if m.w != w:
             raise InvalidWeight("constraint weight does not match")
         for i in range(n):
-            row = [Fraction(m.mat[i][j] - (1 if i == j else 0)) for j in range(n)]
+            row = [m.mat[i][j] - (i == j) for j in range(n)]
             if any(row):
-                rows.append(row)
+                rows.append([Fraction(e) for e in row])
+    if not rows:
+        return [tuple(_ONE if i == j else _ZERO for i in range(n)) for j in range(n)]
     pivots: list[int] = []
     r = 0
     for col in range(n):
@@ -147,26 +156,44 @@ class LocalPolySpace:
 
 
 def solve_space(
-    fc: FaceComplex, graph: GluingGraph, k: int, augmented: bool = False
+    fc: FaceComplex,
+    graph: GluingGraph,
+    k: int,
+    augmented: bool = False,
+    orbits: tuple[Orbit, ...] | None = None,
 ) -> LocalPolySpace:
+    """Weight-k space of the complex; pass `orbits` if the caller already has
+    orbits_and_cycles(graph), else they are computed here."""
     w = check_weight(k)
-    orbits = orbits_and_cycles(graph)
+    if orbits is None:
+        orbits = orbits_and_cycles(graph)
     basis: list[dict[int, tuple[Fraction, ...]]] = []
     if augmented:
         # no matching conditions at all: monomials on every face
+        units = fixed_space((), w)
         for f in range(fc.face_count()):
-            for j in range(w + 1):
-                vec = tuple(Fraction(1 if t == j else 0) for t in range(w + 1))
-                basis.append({f: vec})
+            basis.extend({f: u} for u in units)
     else:
+        # one slash matrix per distinct word; the identity word is never built
+        mats: dict[Mat2, SlashMatrix] = {}
+
+        def slash(g: Mat2) -> SlashMatrix:
+            m = mats.get(g)
+            if m is None:
+                m = mats[g] = slash_matrix(g, w)
+            return m
+
         for orb in orbits:
-            mats = [slash_matrix(g, w) for g in orb.cycles]
-            vecs = fixed_space(mats, w)
+            vecs = fixed_space([slash(g) for g in orb.cycles if g != IDENTITY], w)
             if not vecs:
                 continue
-            transport = {f: slash_matrix(orb.words[f], w) for f in orb.faces}
+            # a face reached by the identity word carries the root vector as is
+            transport = [
+                (f, None if orb.words[f] == IDENTITY else slash(orb.words[f]))
+                for f in orb.faces
+            ]
             for v in vecs:
-                basis.append({f: transport[f].apply(v) for f in orb.faces})
+                basis.append({f: v if m is None else m.apply(v) for f, m in transport})
     return LocalPolySpace(fc.disc, k, w, augmented, fc, graph, orbits, len(basis), tuple(basis))
 
 
@@ -200,6 +227,8 @@ def evaluate(
         if s <= 0:
             raise OutOfDomain(f"need s > 0 for x + i*sqrt(s), got s={s}")
         point = AlgebraicPoint(x, s)
+    if not 0 <= index < space.dim:
+        raise IndexError(f"basis index {index} out of range 0..{space.dim - 1}")
     g, moved = reduce_point(point)
     where = space.complex.locate(moved)
     elem = space.basis[index]

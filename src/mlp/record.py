@@ -12,16 +12,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
-from .gluing import orbits_and_cycles
 from .polyspace import LocalPolySpace
 
 
 def frac_str(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
-
-
-def parse_frac(s: str) -> Fraction:
-    return Fraction(s)
 
 
 def render_poly(coeffs) -> str:
@@ -99,7 +94,7 @@ class ResultRecord:
     def from_json(cls, text: str) -> "ResultRecord":
         obj = json.loads(text)
         basis = tuple(
-            {int(face): tuple(parse_frac(c) for c in coeffs) for face, coeffs in elem.items()}
+            {int(face): tuple(Fraction(c) for c in coeffs) for face, coeffs in elem.items()}
             for elem in obj["basis"]
         )
         return cls(

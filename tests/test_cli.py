@@ -244,6 +244,15 @@ def test_sweep_rejects_bad_weights(capsys):
     assert "invalid weight" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_sweep_rejects_nonpositive_jobs(capsys, jobs):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--max-disc", "12", "--jobs", jobs])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--jobs" in err
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -167,6 +167,10 @@ def test_discriminant_validation():
         enumerate_forms(11)
     check_discriminant(1)
     check_discriminant(8)
+    # bool is an int subclass; True must not pass as D=1
+    for bad in (True, False):
+        with pytest.raises(InvalidDiscriminant):
+            check_discriminant(bad)
 
 
 def test_is_even_square():

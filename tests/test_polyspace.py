@@ -46,9 +46,31 @@ def _poly_at(coeffs, p: AlgebraicPoint) -> ExactComplex:
 def test_check_weight():
     assert check_weight(0) == 0
     assert check_weight(-6) == 6
-    for bad in (2, -1, -3, 1):
+    # bool is an int subclass; False must not pass as k=0
+    for bad in (2, -1, -3, 1, False, True):
         with pytest.raises(InvalidWeight):
             check_weight(bad)
+
+
+def _reference_apply(m, vec) -> tuple[Fraction, ...]:
+    """Plain Fraction mat-vec, the reference for SlashMatrix.apply."""
+    n = m.w + 1
+    return tuple(sum((m.mat[i][j] * Fraction(vec[j]) for j in range(n)), Fraction(0))
+                 for i in range(n))
+
+
+def test_slash_apply_matches_fraction_reference():
+    rng = random.Random(52711)
+    for w in range(0, 13, 2):
+        for _ in range(15):
+            m = slash_matrix(random_word(rng), w)
+            mixed = [Fraction(rng.randint(-50, 50), rng.randint(1, 40)) for _ in range(w + 1)]
+            ints = [rng.randint(-50, 50) for _ in range(w + 1)]
+            both = [x if rng.random() < 0.5 else Fraction(x, 7) for x in ints]
+            for vec in (mixed, ints, both, [0] * (w + 1)):
+                got = m.apply(vec)
+                assert got == _reference_apply(m, vec)
+                assert all(type(x) is Fraction for x in got)
 
 
 def test_slash_matrix_pins():
@@ -190,6 +212,13 @@ def test_evaluate_vanishes_at_corner():
     assert evaluate(space, 1, RHO) == ZERO
     # same point reached from the left corner via x -> x+1
     assert evaluate(space, 1, AlgebraicPoint(-HALF, Fraction(3, 4))) == ZERO
+
+
+def test_evaluate_rejects_bad_index():
+    space = compute_space(5, -2)
+    for bad in (-1, space.dim, 7):
+        with pytest.raises(IndexError, match=r"0\.\.1"):
+            evaluate(space, bad, AlgebraicPoint(0, 9))
 
 
 def test_evaluate_rejects_lower_half_plane():

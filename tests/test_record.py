@@ -1,16 +1,19 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import re
 from fractions import Fraction
 
+import pytest
+
 from mlp import __version__, compute_space
-from mlp.record import ResultRecord, frac_str, parse_frac, render_poly
+from mlp.record import ResultRecord, frac_str, render_poly
 
 
 def test_frac_strings_round_trip():
     for f in (Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(22, 4)):
-        assert parse_frac(frac_str(f)) == f
+        assert Fraction(frac_str(f)) == f
     assert frac_str(Fraction(1, 2)) == "1/2"
     assert frac_str(Fraction(-5)) == "-5/1"
 
@@ -92,3 +95,20 @@ def test_even_square_flag_tracks_equality():
         for k in (-2, -4):
             rec = ResultRecord.from_space(compute_space(disc, k))
             assert rec.even_square == (rec.dim == (-k + 1) * rec.r_f)
+
+
+# sha256 of ResultRecord.from_space(compute_space(D, k, augmented)).to_json(),
+# taken before the slash transport moved onto integer arithmetic
+GOLDEN_RECORD_SHA256 = {
+    (5, -12, False): "1cfa4bdf50ec9de03cfff714b30ab75bb022313773ea074670904f97e6d18c93",
+    (17, -8, False): "06d63955450e145649ef50c050878f29b7fbb87cf149534ab012e30c617a6a57",
+    (144, -12, False): "de6ea1f77408c2108600306324e2152b2495b318691790e20d69ec593d505e79",
+    (21, -6, True): "39fbfa7354ba50bf591610179a4e9a21ef7deef7916742861341e985938ec891",
+}
+
+
+@pytest.mark.parametrize("disc,k,augmented", sorted(GOLDEN_RECORD_SHA256))
+def test_record_bytes_golden(disc, k, augmented):
+    text = ResultRecord.from_space(compute_space(disc, k, augmented=augmented)).to_json()
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == GOLDEN_RECORD_SHA256[(disc, k, augmented)]
