@@ -2,7 +2,7 @@
 
 The domain is the standard fundamental strip |x| <= 1/2, |tau| >= 1, capped
 above at y = ycap (an integer chosen strictly above every listed semicircle).
-Heights are kept as y^2, so the whole construction runs on Fractions.
+Heights are kept as y^2, so every stored value is an exact Fraction.
 
 Faces are connected components of the domain minus the listed geodesics.
 They are found by a sweep: the x-axis is cut at every critical abscissa
@@ -11,6 +11,16 @@ surviving arcs are totally ordered by height, giving a vertical stack of
 cells, and cells of adjacent slabs are merged when their open height
 intervals overlap across the shared boundary and no vertical geodesic
 separates them.
+
+Heights are compared as integers. At x = p/q the arc of [a, b, c] (a > 0)
+has y^2 = -(a p^2 + b p q + c q^2) / (a q^2), so scaling every height at x by
+q^2 * L, with L the lcm of the leading coefficients of all arcs, gives the
+integers -(a p^2 + b p q + c q^2) * (L / a) for arcs, (q^2 - p^2) * L for the
+unit circle and ycap^2 * q^2 * L for the cap. One L serves every stack, so
+values of different stacks at the same x compare directly. Slabs are sorted
+by these keys at their midpoints. At a slab boundary the left and right
+stacks are two sorted partitions of the same range [1 - x^2, ycap^2], so one
+linear merge finds every pair of overlapping cells.
 """
 
 from __future__ import annotations
@@ -18,8 +28,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
-from typing import Optional, Union
+from math import isqrt, lcm
+from typing import Optional, Sequence, Union
 
 from .geometry import (
     HALF,
@@ -130,7 +140,8 @@ class FaceComplex:
                     self.bottom_in_e = True
                     continue
                 span = semicircle_interval(q)
-                assert span is not None  # enumerate_forms filtered already
+                if span is None:
+                    raise RuntimeError(f"form {q.as_list()} has no arc in the strip")
                 arcs.append(Arc(idx, q.a, q.b, q.c, span[0], span[1]))
             else:
                 x = Fraction(-q.c, q.b)
@@ -200,16 +211,46 @@ class FaceComplex:
         self._arc_xs = arc_xs
         self._vline_ss = vline_ss
         self._verts = verts
+        # arc endpoints on the unit circle, where a(x^2+y^2) + bx + c = 0
+        # reduces to a + bx + c = 0
+        self._bottom_touch = {
+            e
+            for arc in arcs
+            for e in (arc.lo, arc.hi)
+            if (arc.a + arc.c) * e.denominator + arc.b * e.numerator == 0
+        }
 
         xs = sorted(crit)
         self.xs = xs
-        nslab = len(xs) - 1
+        self._lcm_a = lcm(*(arc.a for arc in arcs))
+        self._arc_coeffs = [(arc.a, arc.b, arc.c, self._lcm_a // arc.a) for arc in arcs]
+        # lo and hi are critical abscissae, so an arc covers exactly the
+        # slabs between their positions in xs
+        pos = {x: i for i, x in enumerate(xs)}
+        covering: list[list[int]] = [[] for _ in range(len(xs) - 1)]
+        for k, arc in enumerate(arcs):
+            for si in range(pos[arc.lo], pos[arc.hi]):
+                covering[si].append(k)
         self.slab_arcs: list[tuple[int, ...]] = []
-        for si in range(nslab):
+        for si, idxs in enumerate(covering):
             m = (xs[si] + xs[si + 1]) / 2
-            idxs = [k for k, a in enumerate(arcs) if a.lo <= m <= a.hi]
-            idxs.sort(key=lambda k: arcs[k].height_sq(m))
-            self.slab_arcs.append(tuple(idxs))
+            heights = self._arc_heights(idxs, m.numerator, m.denominator)
+            self.slab_arcs.append(tuple(k for _, k in sorted(zip(heights, idxs))))
+
+    def _arc_heights(self, idxs: Sequence[int], p: int, q: int) -> list[int]:
+        """y^2 * q^2 * L of arcs idxs at x = p/q, with L the lcm of the arcs' a."""
+        pp, pq, qq = p * p, p * q, q * q
+        coeffs = self._arc_coeffs
+        return [-(a * pp + b * pq + c * qq) * s for a, b, c, s in (coeffs[k] for k in idxs)]
+
+    def _int_stack(self, si: int, x: Fraction) -> list[int]:
+        """_stack_values(si, x) times q^2 * L; the factor depends on x = p/q
+        alone, so the stacks of two slabs at one x compare directly."""
+        p, q = x.numerator, x.denominator
+        vals = [(q * q - p * p) * self._lcm_a]
+        vals.extend(self._arc_heights(self.slab_arcs[si], p, q))
+        vals.append(self.ycap * self.ycap * q * q * self._lcm_a)
+        return vals
 
     def _stack_values(self, si: int, x: Fraction) -> list[Fraction]:
         """Heights delimiting the cells of slab si at abscissa x, bottom to cap."""
@@ -243,16 +284,21 @@ class FaceComplex:
             xb = self.xs[b]
             if xb in vline_x:
                 continue
-            lvals = self._stack_values(b - 1, xb)
-            rvals = self._stack_values(b, xb)
-            for k in range(len(lvals) - 1):
-                if lvals[k] >= lvals[k + 1]:
-                    continue  # cell pinched to a point at this boundary
-                for l in range(len(rvals) - 1):
-                    if rvals[l] >= rvals[l + 1]:
-                        continue
-                    if max(lvals[k], rvals[l]) < min(lvals[k + 1], rvals[l + 1]):
-                        union(offsets[b - 1] + k, offsets[b] + l)
+            lvals = self._int_stack(b - 1, xb)
+            rvals = self._int_stack(b, xb)
+            # both stacks partition [1 - xb^2, cap^2]: walk them together,
+            # joining cells whose open intervals overlap (a pinched cell
+            # overlaps nothing), and step past the lower top. Ties step k,
+            # so l stops at the shared cap.
+            k = l = 0
+            nk = len(lvals) - 1
+            while k < nk:
+                if max(lvals[k], rvals[l]) < min(lvals[k + 1], rvals[l + 1]):
+                    union(offsets[b - 1] + k, offsets[b] + l)
+                if rvals[l + 1] < lvals[k + 1]:
+                    l += 1
+                else:
+                    k += 1
 
         # ids scan slabs left to right and each stack cap-down, so for every
         # discriminant the face at infinity of the leftmost slab gets id 0
@@ -275,8 +321,10 @@ class FaceComplex:
         faces = []
         for fid, (si, lvl) in enumerate(first_cell):
             m = (self.xs[si] + self.xs[si + 1]) / 2
-            vals = self._stack_values(si, m)
-            sample = AlgebraicPoint(m, (vals[lvl] + vals[lvl + 1]) / 2)
+            stack = self.slab_arcs[si]
+            lo = 1 - m * m if lvl == 0 else self.arcs[stack[lvl - 1]].height_sq(m)
+            hi = self.cap_sq if lvl == len(stack) else self.arcs[stack[lvl]].height_sq(m)
+            sample = AlgebraicPoint(m, (lo + hi) / 2)
             faces.append(Face(fid, sample, fid in cusp_ids))
         self.faces: tuple[Face, ...] = tuple(faces)
 
@@ -295,13 +343,7 @@ class FaceComplex:
         self.left_segments = () if self.left_wall_in_e else self._wall_segments(True)
         self.right_segments = () if self.right_wall_in_e else self._wall_segments(False)
 
-        bps = {-HALF, HALF, Fraction(0)}
-        for arc in self.arcs:
-            for e in (arc.lo, arc.hi):
-                if arc.height_sq(e) == 1 - e * e:
-                    bps.add(e)
-        for v in self.vlines:
-            bps.add(v.x)
+        bps = {-HALF, HALF, Fraction(0)} | self._bottom_touch | {v.x for v in self.vlines}
         self._bottom_breaks = sorted(bps)
         if self.bottom_in_e:
             self.bottom_segments: tuple[BottomSegment, ...] = ()
@@ -328,12 +370,7 @@ class FaceComplex:
             e += len(ss) - 1
         cap_pts = {-HALF, HALF} | {v.x for v in self.vlines}
         e += len(cap_pts) - 1
-        bot_pts = {-HALF, HALF} | {v.x for v in self.vlines}
-        for arc in self.arcs:
-            for end in (arc.lo, arc.hi):
-                if arc.height_sq(end) == 1 - end * end:
-                    bot_pts.add(end)
-        e += len(bot_pts) - 1
+        e += len(cap_pts | self._bottom_touch) - 1  # unit circle
         self.edge_count = e
         self.vertex_count = len(self._verts)
 
@@ -385,7 +422,8 @@ class FaceComplex:
                     hits.add(self.face_of[si][k])
         if on_exc:
             return OnExceptional(tuple(sorted(hits)))
-        assert len(hits) == 1, f"point ({x}, {s}) matched faces {hits}"
+        if len(hits) != 1:
+            raise RuntimeError(f"point ({x}, {s}) matched faces {hits}")
         return hits.pop()
 
 

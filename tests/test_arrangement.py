@@ -5,7 +5,7 @@ from math import isqrt
 
 import pytest
 
-from mlp import AlgebraicPoint, build_arrangement
+from mlp import AlgebraicPoint, arrangement, build_arrangement
 from mlp.arrangement import OnExceptional, OutOfRegion
 
 from _support import stable_grid_face_count
@@ -194,3 +194,66 @@ def test_exceptional_faces_are_real_neighbors():
             up = fc.locate(AlgebraicPoint(x, s + eps))
             down = fc.locate(AlgebraicPoint(x, s - eps))
             assert {up, down} == set(loc.faces)
+
+
+def _all_pairs_partition(fc):
+    """Root of every cell (si, lvl) when every left cell at each slab boundary
+    is compared with every right cell on Fraction heights."""
+    parent = {}
+
+    def find(c):
+        while parent.setdefault(c, c) != c:
+            c = parent[c]
+        return c
+
+    vline_x = {v.x for v in fc.vlines}
+    for b in range(1, len(fc.xs) - 1):
+        xb = fc.xs[b]
+        if xb in vline_x:
+            continue
+        lvals = fc._stack_values(b - 1, xb)
+        rvals = fc._stack_values(b, xb)
+        for k in range(len(lvals) - 1):
+            if lvals[k] >= lvals[k + 1]:
+                continue
+            for l in range(len(rvals) - 1):
+                if rvals[l] >= rvals[l + 1]:
+                    continue
+                if max(lvals[k], rvals[l]) < min(lvals[k + 1], rvals[l + 1]):
+                    parent[find((b - 1, k))] = find((b, l))
+    return {
+        (si, lvl): find((si, lvl))
+        for si, stack in enumerate(fc.slab_arcs)
+        for lvl in range(len(stack) + 1)
+    }
+
+
+def test_boundary_merge_matches_all_pairs_reference():
+    cases = [build_arrangement(d) for d in range(1, 121) if d % 4 in (0, 1)]
+    for disc in (5, 33, 64, 100):
+        cases.append(build_arrangement(disc, ycap=2 * build_arrangement(disc).ycap))
+    for fc in cases:
+        ref = _all_pairs_partition(fc)
+        pairs = {
+            (ref[(si, lvl)], fid)
+            for si, row in enumerate(fc.face_of)
+            for lvl, fid in enumerate(row)
+        }
+        # the pairs are a bijection between reference components and face ids
+        roots = {r for r, _ in pairs}
+        fids = {f for _, f in pairs}
+        assert len(pairs) == len(roots) == len(fids) == fc.face_count(), (fc.disc, fc.ycap)
+
+
+def test_form_without_arc_raises(monkeypatch):
+    monkeypatch.setattr(arrangement, "semicircle_interval", lambda q: None)
+    with pytest.raises(RuntimeError, match="has no arc in the strip"):
+        build_arrangement(5)
+
+
+def test_locate_raises_when_point_matches_several_faces(monkeypatch):
+    fc = build_arrangement(5)
+    # i lies on both geodesics; hide that so locate expects a single face
+    monkeypatch.setattr(arrangement, "eval_form", lambda q, p: 1)
+    with pytest.raises(RuntimeError, match="matched faces"):
+        fc.locate(AlgebraicPoint(0, 1))

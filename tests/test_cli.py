@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -142,6 +143,24 @@ def test_faces_summary(capsys):
         s = Fraction(entry["sample"][1])
         assert fc.locate(AlgebraicPoint(x, s)) == entry["id"]
         assert entry["cusp"] == fc.faces[entry["id"]].is_cusp
+
+
+# sha256 of `mlp faces --disc D` stdout, taken with the all-pairs Fraction
+# merge of commit eece3f9, before heights were compared as integers
+FACES_SHA256 = {
+    33: "68da490b6e7f674e8f331d8d0aba0d54069949cb0a62659030a4767bf2a745bd",
+    100: "c4e5cf2e4a205f2af72c7fc26e68f578839670a22ff4dc51d6f0820bec330b00",
+    144: "c7b79acdb61b977d9e6d9ef8a8a4d84a735651486b7b2f8aabe4fb26c6981b1a",
+    401: "23bd1e6c2560f275b7056596896e2fedc40047de1e13f967eebc569d70639ad4",
+    1000: "a95e6560625edf0d81d6a797fb042db640b55a52c5a1b21eb235d49a2afe6b46",
+}
+
+
+def test_faces_output_golden(capsys):
+    for disc, digest in FACES_SHA256.items():
+        code, out, _ = run(capsys, "faces", "--disc", str(disc))
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, f"D={disc}"
 
 
 def test_faces_d4_flags(capsys):
