@@ -30,6 +30,7 @@ from .polyspace import (
     InvalidWeight,
     LocalPolySpace,
     OutOfDomain,
+    check_laws,
     compute_space,
     evaluate,
     fixed_space,
@@ -61,6 +62,7 @@ __all__ = [
     "apply_mobius",
     "build_arrangement",
     "build_gluing_graph",
+    "check_laws",
     "compute_space",
     "enumerate_forms",
     "eval_form",

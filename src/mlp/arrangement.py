@@ -244,19 +244,13 @@ class FaceComplex:
         return [-(a * pp + b * pq + c * qq) * s for a, b, c, s in (coeffs[k] for k in idxs)]
 
     def _int_stack(self, si: int, x: Fraction) -> list[int]:
-        """_stack_values(si, x) times q^2 * L; the factor depends on x = p/q
-        alone, so the stacks of two slabs at one x compare directly."""
+        """Heights y^2 delimiting the cells of slab si at x = p/q, bottom to
+        cap, each times q^2 * L; the factor depends on x alone, so the stacks
+        of two slabs at one x compare directly."""
         p, q = x.numerator, x.denominator
         vals = [(q * q - p * p) * self._lcm_a]
         vals.extend(self._arc_heights(self.slab_arcs[si], p, q))
         vals.append(self.ycap * self.ycap * q * q * self._lcm_a)
-        return vals
-
-    def _stack_values(self, si: int, x: Fraction) -> list[Fraction]:
-        """Heights delimiting the cells of slab si at abscissa x, bottom to cap."""
-        vals = [1 - x * x]
-        vals.extend(self.arcs[k].height_sq(x) for k in self.slab_arcs[si])
-        vals.append(self.cap_sq)
         return vals
 
     def _assign_faces(self) -> None:
@@ -331,12 +325,13 @@ class FaceComplex:
     def _wall_segments(self, left: bool) -> tuple[WallSegment, ...]:
         si = 0 if left else len(self.xs) - 2
         x = -HALF if left else HALF
-        vals = self._stack_values(si, x)
+        vals = self._int_stack(si, x)
+        scale = x.denominator ** 2 * self._lcm_a
         segs = []
         for k in range(len(vals) - 1):
             if vals[k] < vals[k + 1]:
-                hi = None if k == len(vals) - 2 else vals[k + 1]
-                segs.append(WallSegment(vals[k], hi, self.face_of[si][k]))
+                hi = None if k == len(vals) - 2 else Fraction(vals[k + 1], scale)
+                segs.append(WallSegment(Fraction(vals[k], scale), hi, self.face_of[si][k]))
         return tuple(segs)
 
     def _build_boundary(self) -> None:
@@ -408,7 +403,7 @@ class FaceComplex:
         if x < -HALF or x > HALF or x * x + s < 1:
             raise OutOfRegion(f"({x}, {s}) outside the fundamental strip")
         on_exc = any(eval_form(q, p) == 0 for q in self.forms)
-        s_eff = min(s, self.cap_sq)
+        s_eff = min(s, self.cap_sq) * x.denominator ** 2 * self._lcm_a
         i = bisect_left(self.xs, x)
         if i < len(self.xs) and self.xs[i] == x:
             cand = [si for si in (i - 1, i) if 0 <= si <= len(self.xs) - 2]
@@ -416,7 +411,7 @@ class FaceComplex:
             cand = [i - 1]
         hits: set[int] = set()
         for si in cand:
-            vals = self._stack_values(si, x)
+            vals = self._int_stack(si, x)
             for k in range(len(vals) - 1):
                 if vals[k] <= s_eff <= vals[k + 1]:
                     hits.add(self.face_of[si][k])

@@ -14,13 +14,12 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from math import isqrt
 
 from . import __version__
 from .arrangement import build_arrangement
-from .geometry import InvalidDiscriminant, check_discriminant, enumerate_forms, is_even_square
+from .geometry import InvalidDiscriminant, check_discriminant, enumerate_forms
 from .gluing import build_gluing_graph, orbits_and_cycles
-from .polyspace import InvalidWeight, check_weight, compute_space, solve_space
+from .polyspace import InvalidWeight, check_laws, check_weight, compute_space, solve_space
 from .record import ResultRecord, render_poly
 from .svgfig import svg_figure
 
@@ -112,50 +111,14 @@ def _sweep_task(task: tuple[int, tuple[int, ...], bool]) -> tuple[int, list[str]
     graph = build_gluing_graph(fc)
     orbits = orbits_and_cycles(graph)
     rf = fc.face_count()
-    cusp = fc.cusp_face_count()
-    lines: list[str] = []
-    fails: list[str] = []
-
-    root = isqrt(disc)
-    if root * root != disc:
-        expect_cusp = 1
-    elif root % 2 == 0:
-        expect_cusp = root
-    else:
-        expect_cusp = root + 1
-    if cusp != expect_cusp:
-        fails.append(f"D={disc}: cuspFaces={cusp}, expected {expect_cusp}")
-    if root * root == disc and root % 2 == 1:
-        cusp_orbits = sum(1 for orb in orbits if any(fc.faces[f].is_cusp for f in orb.faces))
-        if cusp_orbits != root:
-            fails.append(f"D={disc}: cusp orbit count {cusp_orbits}, expected {root}")
-
-    even_sq = is_even_square(disc)
-    for k in weights:
-        space = solve_space(fc, graph, k, augmented=augmented, orbits=orbits)
-        w = -k
-        bound = (w + 1) * rf
-        lines.append(
-            f"D={disc} k={k} dim={space.dim} rF={rf} orbits={len(orbits)}"
-            f" bound={bound} evenSquare={'true' if even_sq else 'false'}"
-        )
-        if augmented:
-            if space.dim != bound:
-                fails.append(f"D={disc} k={k}: augmented dim {space.dim} != {bound}")
-            continue
-        if space.dim > bound:
-            fails.append(f"D={disc} k={k}: dim {space.dim} exceeds bound {bound}")
-        if k == 0:
-            if space.dim != len(orbits):
-                fails.append(f"D={disc} k=0: dim {space.dim} != orbit count {len(orbits)}")
-            if even_sq and space.dim != rf:
-                fails.append(f"D={disc} k=0: dim {space.dim} != rF {rf}")
-        elif even_sq:
-            if space.dim != bound:
-                fails.append(f"D={disc} k={k}: dim {space.dim} != bound {bound} (even square)")
-        elif space.dim >= bound:
-            fails.append(f"D={disc} k={k}: dim {space.dim} not below bound {bound}")
-    return disc, lines, fails
+    even_sq = "true" if fc.even_square else "false"
+    spaces = [solve_space(fc, graph, k, augmented=augmented, orbits=orbits) for k in weights]
+    lines = [
+        f"D={disc} k={s.k} dim={s.dim} rF={rf} orbits={len(orbits)}"
+        f" bound={(s.w + 1) * rf} evenSquare={even_sq}"
+        for s in spaces
+    ]
+    return disc, lines, check_laws(fc, orbits, spaces)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:

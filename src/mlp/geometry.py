@@ -104,9 +104,6 @@ class AlgebraicPoint:
         """|tau|^2 = x^2 + s."""
         return self.x * self.x + self.s
 
-    def to_complex(self) -> complex:
-        return complex(float(self.x), math.sqrt(float(self.s)))
-
 
 def apply_mobius(g: Mat2, p: AlgebraicPoint) -> AlgebraicPoint:
     """Image of p under the fractional linear map of g. Stays rational:
@@ -178,30 +175,6 @@ class QuadForm:
 def eval_form(q: QuadForm, p: AlgebraicPoint) -> Fraction:
     """a|tau|^2 + b Re(tau) + c at p; zero exactly on the geodesic of q."""
     return q.a * p.norm_sq() + q.b * p.x + q.c
-
-
-@dataclass(frozen=True)
-class Semicircle:
-    """Geodesic of a form with a != 0: |tau + b/2a|^2 = D/4a^2."""
-
-    center: Fraction
-    radius_sq: Fraction
-
-
-@dataclass(frozen=True)
-class VerticalLine:
-    """Geodesic of a form with a = 0: the line Re(tau) = -c/b."""
-
-    x: Fraction
-
-
-Geodesic = Union[Semicircle, VerticalLine]
-
-
-def geodesic_of_form(q: QuadForm) -> Geodesic:
-    if q.a == 0:
-        return VerticalLine(Fraction(-q.c, q.b))
-    return Semicircle(Fraction(-q.b, 2 * q.a), Fraction(q.disc(), 4 * q.a * q.a))
 
 
 def form_action(q: QuadForm, g: Mat2) -> QuadForm:

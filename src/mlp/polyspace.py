@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import isqrt, lcm
 from operator import mul
 from typing import Sequence, Union
 
@@ -195,6 +195,54 @@ def solve_space(
             for v in vecs:
                 basis.append({f: v if m is None else m.apply(v) for f, m in transport})
     return LocalPolySpace(fc.disc, k, w, augmented, fc, graph, orbits, len(basis), tuple(basis))
+
+
+def check_laws(
+    fc: FaceComplex, orbits: Sequence[Orbit], spaces: Sequence[LocalPolySpace]
+) -> list[str]:
+    """Every way the complex, its orbits and its spaces break the paper's laws,
+    as one message each, in order; empty when all hold.
+
+    The cusp faces number 1, sqrt(D) or sqrt(D)+1 as D is a non-square, an
+    even square or an odd square, and for an odd square they lie in sqrt(D)
+    orbits. Each space has dim <= (w+1)*rF, with equality for augmented
+    spaces always and otherwise, at k != 0, exactly when D is an even square;
+    at k = 0 the dim is the orbit count, and rF for an even square.
+    """
+    disc, rf = fc.disc, fc.face_count()
+    fails: list[str] = []
+    root = isqrt(disc)
+    square = root * root == disc
+    expect_cusp = root + root % 2 if square else 1
+    cusp = fc.cusp_face_count()
+    if cusp != expect_cusp:
+        fails.append(f"D={disc}: cuspFaces={cusp}, expected {expect_cusp}")
+    if square and root % 2:
+        cusp_orbits = sum(1 for orb in orbits if any(fc.faces[f].is_cusp for f in orb.faces))
+        if cusp_orbits != root:
+            fails.append(f"D={disc}: cusp orbit count {cusp_orbits}, expected {root}")
+
+    for space in spaces:
+        k, dim = space.k, space.dim
+        bound = (space.w + 1) * rf
+        if space.augmented:
+            if dim != bound:
+                fails.append(f"D={disc} k={k}: augmented dim {dim} != {bound}")
+            continue
+        # independent checks: one bad dim may break several laws at once
+        if dim > bound:
+            fails.append(f"D={disc} k={k}: dim {dim} exceeds bound {bound}")
+        if k == 0:
+            if dim != len(orbits):
+                fails.append(f"D={disc} k=0: dim {dim} != orbit count {len(orbits)}")
+            if fc.even_square and dim != rf:
+                fails.append(f"D={disc} k=0: dim {dim} != rF {rf}")
+        elif fc.even_square:
+            if dim != bound:
+                fails.append(f"D={disc} k={k}: dim {dim} != bound {bound} (even square)")
+        elif dim >= bound:
+            fails.append(f"D={disc} k={k}: dim {dim} not below bound {bound}")
+    return fails
 
 
 def compute_space(disc: int, k: int, augmented: bool = False) -> LocalPolySpace:

@@ -201,6 +201,9 @@ def _all_pairs_partition(fc):
     is compared with every right cell on Fraction heights."""
     parent = {}
 
+    def stack(si, x):
+        return [1 - x * x, *(fc.arcs[k].height_sq(x) for k in fc.slab_arcs[si]), fc.cap_sq]
+
     def find(c):
         while parent.setdefault(c, c) != c:
             c = parent[c]
@@ -211,8 +214,8 @@ def _all_pairs_partition(fc):
         xb = fc.xs[b]
         if xb in vline_x:
             continue
-        lvals = fc._stack_values(b - 1, xb)
-        rvals = fc._stack_values(b, xb)
+        lvals = stack(b - 1, xb)
+        rvals = stack(b, xb)
         for k in range(len(lvals) - 1):
             if lvals[k] >= lvals[k + 1]:
                 continue

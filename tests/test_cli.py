@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import xml.etree.ElementTree as ET
@@ -8,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from mlp import AlgebraicPoint, build_arrangement
+from mlp import cli
 from mlp.cli import main
 from mlp.record import ResultRecord
 
@@ -255,6 +257,34 @@ def test_sweep_augmented(capsys):
     )
     assert code == 0
     assert out.splitlines()[-1].startswith("sweep ok")
+
+
+def test_sweep_reports_law_failures(capsys, monkeypatch):
+    solve = cli.solve_space
+
+    def one_too_many(*args, **kwargs):
+        space = solve(*args, **kwargs)
+        return dataclasses.replace(space, dim=space.dim + 1)
+
+    monkeypatch.setattr(cli, "solve_space", one_too_many)
+    code, out, err = run(capsys, "sweep", "--max-disc", "12")
+    assert code == 1
+    assert "D=4 k=-2 dim=7 rF=2 orbits=2 bound=6 evenSquare=true" in out.splitlines()
+    assert "sweep ok" not in out
+    assert err.splitlines() == [
+        "FAIL D=1 k=0: dim 2 != orbit count 1",
+        "FAIL D=4 k=0: dim 3 exceeds bound 2",
+        "FAIL D=4 k=0: dim 3 != orbit count 2",
+        "FAIL D=4 k=0: dim 3 != rF 2",
+        "FAIL D=4 k=-2: dim 7 exceeds bound 6",
+        "FAIL D=4 k=-2: dim 7 != bound 6 (even square)",
+        "FAIL D=4 k=-4: dim 11 exceeds bound 10",
+        "FAIL D=4 k=-4: dim 11 != bound 10 (even square)",
+        "FAIL D=5 k=0: dim 3 != orbit count 2",
+        "FAIL D=8 k=0: dim 4 != orbit count 3",
+        "FAIL D=9 k=0: dim 11 != orbit count 10",
+        "FAIL D=12 k=0: dim 5 != orbit count 4",
+    ]
 
 
 def test_sweep_rejects_bad_weights(capsys):

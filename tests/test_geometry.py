@@ -20,14 +20,7 @@ from mlp import (
     form_action,
     reduce_point,
 )
-from mlp.geometry import (
-    Semicircle,
-    VerticalLine,
-    check_discriminant,
-    geodesic_of_form,
-    is_even_square,
-    semicircle_interval,
-)
+from mlp.geometry import check_discriminant, is_even_square, semicircle_interval
 
 from _support import random_word
 
@@ -149,8 +142,14 @@ def test_enumerate_forms_counts_frozen():
 
 
 def test_enumerate_forms_distinct_geodesics():
+    # a semicircle is its (center, radius^2), a vertical line its abscissa
     for disc in (4, 9, 16, 36, 100):
-        geos = [geodesic_of_form(q) for q in enumerate_forms(disc)]
+        geos = [
+            (Fraction(-q.b, 2 * q.a), Fraction(disc, 4 * q.a * q.a))
+            if q.a
+            else Fraction(-q.c, q.b)
+            for q in enumerate_forms(disc)
+        ]
         assert len(geos) == len(set(geos))
 
 
@@ -185,12 +184,6 @@ def test_quadform_normalization():
         QuadForm(0, 0, 1)
     with pytest.raises(ValueError):
         QuadForm(1, 0, 1)  # discriminant -4
-
-
-def test_geodesic_of_form_examples():
-    assert geodesic_of_form(QuadForm(1, 1, -1)) == Semicircle(Fraction(-1, 2), Fraction(5, 4))
-    assert geodesic_of_form(QuadForm(1, 0, -1)) == Semicircle(Fraction(0), Fraction(1))
-    assert geodesic_of_form(QuadForm(0, 2, -1)) == VerticalLine(Fraction(1, 2))
 
 
 def test_eval_form_examples():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -16,12 +17,13 @@ from mlp import (
     Mat2,
     build_arrangement,
     build_gluing_graph,
+    check_laws,
     compute_space,
     evaluate,
     orbits_and_cycles,
 )
 from mlp.arrangement import OnExceptional
-from mlp.polyspace import OutOfDomain, check_weight, fixed_space, slash_matrix
+from mlp.polyspace import OutOfDomain, check_weight, fixed_space, slash_matrix, solve_space
 
 from _support import exceptional_points, random_word
 
@@ -197,6 +199,68 @@ def test_dim_bound_and_weight_zero_identity():
             dim = compute_space(disc, k).dim
             assert dim <= (-k + 1) * rf
             assert (dim == (-k + 1) * rf) == fc.even_square
+
+
+def _laws_input(disc: int):
+    fc = build_arrangement(disc)
+    graph = build_gluing_graph(fc)
+    return fc, graph, orbits_and_cycles(graph)
+
+
+def test_check_laws_hold():
+    for disc in [d for d in range(1, 61) if d % 4 in (0, 1)]:
+        fc, graph, orbits = _laws_input(disc)
+        spaces = [solve_space(fc, graph, k, orbits=orbits) for k in (0, -2, -4)]
+        assert check_laws(fc, orbits, spaces) == [], disc
+        aug = [solve_space(fc, graph, k, augmented=True, orbits=orbits) for k in (0, -2)]
+        assert check_laws(fc, orbits, aug) == [], disc
+
+
+@pytest.mark.parametrize(
+    "disc, k, augmented, dim, expected",
+    [
+        # D=5: rF 3, 2 orbits; off even squares dim < bound at k != 0
+        (5, 0, False, 4, ["D=5 k=0: dim 4 exceeds bound 3", "D=5 k=0: dim 4 != orbit count 2"]),
+        (5, 0, False, 1, ["D=5 k=0: dim 1 != orbit count 2"]),
+        (5, -2, False, 10, ["D=5 k=-2: dim 10 exceeds bound 9",
+                            "D=5 k=-2: dim 10 not below bound 9"]),
+        (5, -2, False, 9, ["D=5 k=-2: dim 9 not below bound 9"]),
+        # D=16: rF 18, 18 orbits; an even square has dim = bound at k != 0
+        (16, 0, False, 17, ["D=16 k=0: dim 17 != orbit count 18", "D=16 k=0: dim 17 != rF 18"]),
+        (16, -2, False, 53, ["D=16 k=-2: dim 53 != bound 54 (even square)"]),
+        (16, -2, False, 55, ["D=16 k=-2: dim 55 exceeds bound 54",
+                             "D=16 k=-2: dim 55 != bound 54 (even square)"]),
+        # augmented spaces reach the bound and are held to nothing else
+        (5, -2, True, 10, ["D=5 k=-2: augmented dim 10 != 9"]),
+        (16, 0, True, 17, ["D=16 k=0: augmented dim 17 != 18"]),
+    ],
+)
+def test_check_laws_reports_doctored_dims(disc, k, augmented, dim, expected):
+    fc, graph, orbits = _laws_input(disc)
+    space = solve_space(fc, graph, k, augmented=augmented, orbits=orbits)
+    assert check_laws(fc, orbits, [dataclasses.replace(space, dim=dim)]) == expected
+
+
+def test_check_laws_reports_cusp_counts(monkeypatch):
+    fc, graph, orbits = _laws_input(5)
+    space = solve_space(fc, graph, -2, orbits=orbits)
+    monkeypatch.setattr(fc, "cusp_face_count", lambda: 2)
+    # cusp messages come first, then each space in order
+    assert check_laws(fc, orbits, [space, dataclasses.replace(space, dim=9)]) == [
+        "D=5: cuspFaces=2, expected 1",
+        "D=5 k=-2: dim 9 not below bound 9",
+    ]
+    fc, _, orbits = _laws_input(16)
+    monkeypatch.setattr(fc, "cusp_face_count", lambda: 5)
+    assert check_laws(fc, orbits, []) == ["D=16: cuspFaces=5, expected 4"]
+    # an odd square has sqrt(D) + 1 cusp faces in sqrt(D) orbits
+    fc, _, orbits = _laws_input(9)
+    assert check_laws(fc, orbits, []) == []
+    cusp_orbit = next(o for o in orbits if any(fc.faces[f].is_cusp for f in o.faces))
+    fewer = tuple(o for o in orbits if o is not cusp_orbit)
+    assert check_laws(fc, fewer, []) == ["D=9: cusp orbit count 2, expected 3"]
+    monkeypatch.setattr(fc, "cusp_face_count", lambda: 3)
+    assert check_laws(fc, orbits, []) == ["D=9: cuspFaces=3, expected 4"]
 
 
 def test_evaluate_constant_element():
