@@ -157,68 +157,26 @@ class FaceComplex:
         self._build_cells()
         self._assign_faces()
         self._build_boundary()
-        self._count_euler()
 
     # -- construction -------------------------------------------------
 
     def _build_cells(self) -> None:
-        arcs, vlines = self.arcs, self.vlines
-        crit = {-HALF, HALF, Fraction(0)}
-        # vertices of the induced cell structure, as (x, y^2) pairs
-        verts = {
-            (-HALF, Fraction(3, 4)),
-            (HALF, Fraction(3, 4)),
-            (-HALF, self.cap_sq),
-            (HALF, self.cap_sq),
-        }
-        arc_xs: list[set[Fraction]] = []
+        arcs = self.arcs
+        crit = {-HALF, HALF, Fraction(0)} | {v.x for v in self.vlines}
         for arc in arcs:
             crit.add(arc.lo)
             crit.add(arc.hi)
             apex = Fraction(-arc.b, 2 * arc.a)
             if arc.lo < apex < arc.hi:
                 crit.add(apex)
-            arc_xs.append({arc.lo, arc.hi})
-            verts.add((arc.lo, arc.height_sq(arc.lo)))
-            verts.add((arc.hi, arc.height_sq(arc.hi)))
-        vline_ss: list[set[Fraction]] = []
-        for v in vlines:
-            crit.add(v.x)
-            foot = 1 - v.x * v.x
-            vline_ss.append({foot, self.cap_sq})
-            verts.add((v.x, foot))
-            verts.add((v.x, self.cap_sq))
-        for i in range(len(arcs)):
-            for j in range(i + 1, len(arcs)):
-                ai, aj = arcs[i], arcs[j]
+        for i, ai in enumerate(arcs):
+            for aj in arcs[i + 1:]:
                 det = ai.a * aj.b - aj.a * ai.b
                 if det == 0:
                     continue  # concentric circles never meet
                 x = Fraction(aj.a * ai.c - ai.a * aj.c, det)
                 if ai.lo <= x <= ai.hi and aj.lo <= x <= aj.hi:
-                    t = Fraction(aj.c * ai.b - ai.c * aj.b, det)
                     crit.add(x)
-                    arc_xs[i].add(x)
-                    arc_xs[j].add(x)
-                    verts.add((x, t - x * x))
-        for i, arc in enumerate(arcs):
-            for j, v in enumerate(vlines):
-                if arc.lo <= v.x <= arc.hi:
-                    h = arc.height_sq(v.x)
-                    arc_xs[i].add(v.x)
-                    vline_ss[j].add(h)
-                    verts.add((v.x, h))
-        self._arc_xs = arc_xs
-        self._vline_ss = vline_ss
-        self._verts = verts
-        # arc endpoints on the unit circle, where a(x^2+y^2) + bx + c = 0
-        # reduces to a + bx + c = 0
-        self._bottom_touch = {
-            e
-            for arc in arcs
-            for e in (arc.lo, arc.hi)
-            if (arc.a + arc.c) * e.denominator + arc.b * e.numerator == 0
-        }
 
         xs = sorted(crit)
         self.xs = xs
@@ -315,10 +273,9 @@ class FaceComplex:
         faces = []
         for fid, (si, lvl) in enumerate(first_cell):
             m = (self.xs[si] + self.xs[si + 1]) / 2
-            stack = self.slab_arcs[si]
-            lo = 1 - m * m if lvl == 0 else self.arcs[stack[lvl - 1]].height_sq(m)
-            hi = self.cap_sq if lvl == len(stack) else self.arcs[stack[lvl]].height_sq(m)
-            sample = AlgebraicPoint(m, (lo + hi) / 2)
+            vals = self._int_stack(si, m)
+            mid = Fraction(vals[lvl] + vals[lvl + 1], 2 * m.denominator ** 2 * self._lcm_a)
+            sample = AlgebraicPoint(m, mid)
             faces.append(Face(fid, sample, fid in cusp_ids))
         self.faces: tuple[Face, ...] = tuple(faces)
 
@@ -338,36 +295,23 @@ class FaceComplex:
         self.left_segments = () if self.left_wall_in_e else self._wall_segments(True)
         self.right_segments = () if self.right_wall_in_e else self._wall_segments(False)
 
-        bps = {-HALF, HALF, Fraction(0)} | self._bottom_touch | {v.x for v in self.vlines}
-        self._bottom_breaks = sorted(bps)
         if self.bottom_in_e:
             self.bottom_segments: tuple[BottomSegment, ...] = ()
         else:
+            # arc endpoints on the unit circle, where a(x^2+y^2) + bx + c = 0
+            # reduces to a + bx + c = 0
+            touch = {
+                e
+                for arc in self.arcs
+                for e in (arc.lo, arc.hi)
+                if (arc.a + arc.c) * e.denominator + arc.b * e.numerator == 0
+            }
+            breaks = sorted({-HALF, HALF, Fraction(0)} | touch | {v.x for v in self.vlines})
             segs = []
-            for xa, xb in zip(self._bottom_breaks, self._bottom_breaks[1:]):
+            for xa, xb in zip(breaks, breaks[1:]):
                 m = (xa + xb) / 2
                 segs.append(BottomSegment(xa, xb, self.face_of[self._slab_of(m)][0]))
             self.bottom_segments = tuple(segs)
-
-    def _count_euler(self) -> None:
-        e = 0
-        for pts in self._arc_xs:
-            e += len(pts) - 1
-        for ss in self._vline_ss:
-            e += len(ss) - 1
-        for left in (True, False):
-            x = -HALF if left else HALF
-            ss = {Fraction(3, 4), self.cap_sq}
-            for arc in self.arcs:
-                end = arc.lo if left else arc.hi
-                if end == x:
-                    ss.add(arc.height_sq(x))
-            e += len(ss) - 1
-        cap_pts = {-HALF, HALF} | {v.x for v in self.vlines}
-        e += len(cap_pts) - 1
-        e += len(cap_pts | self._bottom_touch) - 1  # unit circle
-        self.edge_count = e
-        self.vertex_count = len(self._verts)
 
     # -- queries --------------------------------------------------------
 

@@ -43,9 +43,13 @@ def _record_text(disc: int, k: int, augmented: bool) -> str:
     if path:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
     return text
 
 
@@ -115,7 +119,7 @@ def _sweep_task(task: tuple[int, tuple[int, ...], bool]) -> tuple[int, list[str]
     spaces = [solve_space(fc, graph, k, augmented=augmented, orbits=orbits) for k in weights]
     lines = [
         f"D={disc} k={s.k} dim={s.dim} rF={rf} orbits={len(orbits)}"
-        f" bound={(s.w + 1) * rf} evenSquare={even_sq}"
+        f" bound={s.bound} evenSquare={even_sq}"
         for s in spaces
     ]
     return disc, lines, check_laws(fc, orbits, spaces)

@@ -366,9 +366,6 @@ class ExactComplex:
         sign = (self.v > 0) - (self.v < 0)
         return hash((self.u, self.v * self.v * self.s, sign))
 
-    def to_complex(self) -> complex:
-        return complex(float(self.u), float(self.v) * math.sqrt(float(self.s)))
-
     def __repr__(self) -> str:
         if self.v == 0:
             return f"ExactComplex({self.u})"

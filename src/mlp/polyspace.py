@@ -154,6 +154,11 @@ class LocalPolySpace:
     dim: int
     basis: tuple[dict[int, tuple[Fraction, ...]], ...]
 
+    @property
+    def bound(self) -> int:
+        """The paper's bound (w+1)*rF on dim."""
+        return (self.w + 1) * self.complex.face_count()
+
 
 def solve_space(
     fc: FaceComplex,
@@ -223,8 +228,7 @@ def check_laws(
             fails.append(f"D={disc}: cusp orbit count {cusp_orbits}, expected {root}")
 
     for space in spaces:
-        k, dim = space.k, space.dim
-        bound = (space.w + 1) * rf
+        k, dim, bound = space.k, space.dim, space.bound
         if space.augmented:
             if dim != bound:
                 fails.append(f"D={disc} k={k}: augmented dim {dim} != {bound}")

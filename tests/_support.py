@@ -5,6 +5,10 @@ sweep-line construction: it samples a rational grid and joins neighboring
 sample points only when the straight segment between them provably misses
 every geodesic (exact quadratic sign analysis). A count is accepted only
 when two doubling resolutions agree.
+
+The Euler oracle counts the vertices and edges of the cell structure from
+the geodesics and the cap alone, so V - E + F = 1 checks the library's face
+count against numbers the library never computes.
 """
 
 from __future__ import annotations
@@ -122,3 +126,56 @@ def exceptional_points(fc, want: int) -> list[AlgebraicPoint]:
                 if len(pts) == want:
                     return pts
     raise AssertionError(f"only found {len(pts)} exceptional points for D={fc.disc}")
+
+
+def euler_counts(fc) -> tuple[int, int]:
+    """(V, E) of the capped region cut by fc.arcs and fc.vlines.
+
+    Vertices are points (x, y^2): the four corners, arc ends, arc crossings,
+    vertical-line feet and tops, and arc/vertical-line meets. Edges are the
+    pieces of each arc, vertical line, wall, the cap and the unit circle
+    between consecutive vertices on it.
+    """
+
+    def height_sq(arc, x):
+        # a(x^2 + y^2) + bx + c = 0 solved for y^2
+        return -(arc.a * x * x + arc.b * x + arc.c) / Fraction(arc.a)
+
+    cap = fc.cap_sq
+    verts = {(-HALF, Fraction(3, 4)), (HALF, Fraction(3, 4)), (-HALF, cap), (HALF, cap)}
+    arc_xs = [{arc.lo, arc.hi} for arc in fc.arcs]
+    vline_ss = [{1 - v.x * v.x, cap} for v in fc.vlines]
+    for arc in fc.arcs:
+        verts.update((e, height_sq(arc, e)) for e in (arc.lo, arc.hi))
+    for v in fc.vlines:
+        verts.update({(v.x, 1 - v.x * v.x), (v.x, cap)})
+    for i, ai in enumerate(fc.arcs):
+        for j in range(i + 1, len(fc.arcs)):
+            aj = fc.arcs[j]
+            # subtracting the two circle equations leaves a linear one in x
+            det = ai.a * aj.b - aj.a * ai.b
+            if det == 0:
+                continue
+            x = Fraction(aj.a * ai.c - ai.a * aj.c, det)
+            if ai.lo <= x <= ai.hi and aj.lo <= x <= aj.hi:
+                arc_xs[i].add(x)
+                arc_xs[j].add(x)
+                verts.add((x, height_sq(ai, x)))
+    for i, arc in enumerate(fc.arcs):
+        for j, v in enumerate(fc.vlines):
+            if arc.lo <= v.x <= arc.hi:
+                arc_xs[i].add(v.x)
+                vline_ss[j].add(height_sq(arc, v.x))
+                verts.add((v.x, height_sq(arc, v.x)))
+
+    edges = sum(len(pts) - 1 for pts in arc_xs) + sum(len(ss) - 1 for ss in vline_ss)
+    for left in (True, False):
+        wall = -HALF if left else HALF
+        ss = {Fraction(3, 4), cap}
+        ss.update(height_sq(a, wall) for a in fc.arcs if (a.lo if left else a.hi) == wall)
+        edges += len(ss) - 1
+    cap_pts = {-HALF, HALF} | {v.x for v in fc.vlines}
+    edges += len(cap_pts) - 1
+    touch = {e for arc in fc.arcs for e in (arc.lo, arc.hi) if height_sq(arc, e) == 1 - e * e}
+    edges += len(cap_pts | touch) - 1  # unit circle
+    return len(verts), edges

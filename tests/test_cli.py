@@ -234,6 +234,20 @@ def test_cache_key_separates_augmented(capsys, tmp_path, monkeypatch):
     assert names == ["v0.1.0_D5_k-2.json", "v0.1.0_D5_k-2_aug.json"]
 
 
+def test_cache_write_failure_leaves_no_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("MLP_CACHE_DIR", str(tmp_path))
+
+    def refuse(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.os, "replace", refuse)
+    code, out, err = run(capsys, "dim", "--disc", "5", "--weight", "-2")
+    assert code == 4 and out == ""
+    assert "disk full" in err
+    # neither the temp file nor a record is left behind
+    assert list(tmp_path.glob("*.tmp")) == [] and list(tmp_path.glob("*.json")) == []
+
+
 def test_sweep_small(capsys):
     code, out, err = run(capsys, "sweep", "--max-disc", "20", "--weights", "0,-2")
     assert code == 0 and err == ""

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -314,6 +315,10 @@ def test_exact_complex_radicand_rescaling():
     assert mixed == ExactComplex(2, 3, 3)
 
 
+def _to_complex(z: ExactComplex) -> complex:
+    return complex(float(z.u), float(z.v) * math.sqrt(float(z.s)))
+
+
 def test_exact_complex_against_floats():
     rng = random.Random(77007)
     for _ in range(100):
@@ -321,9 +326,9 @@ def test_exact_complex_against_floats():
         v = Fraction(rng.randint(-30, 30), rng.randint(1, 9))
         s = rng.randint(0, 20)
         w = ExactComplex(u, v, s)
-        zf = complex(w.to_complex())
+        zf = _to_complex(w)
         for n in range(5):
-            exact = (w**n).to_complex()
+            exact = _to_complex(w**n)
             approx = zf**n
             assert abs(exact - approx) <= 1e-9 * max(1.0, abs(approx))
 
@@ -331,4 +336,4 @@ def test_exact_complex_against_floats():
 def test_exact_complex_from_point():
     z = ExactComplex.from_point(RHO)
     assert z == ExactComplex(HALF, 1, Fraction(3, 4))
-    assert abs(z.to_complex() - complex(0.5, 0.8660254037844386)) < 1e-12
+    assert abs(_to_complex(z) - complex(0.5, 0.8660254037844386)) < 1e-12

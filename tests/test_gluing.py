@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import isqrt
 
 from mlp import (
     IDENTITY,
@@ -32,8 +33,12 @@ def test_d5_edges_pinned():
     }
 
 
-def test_d4_has_no_edges():
-    assert _graph(4).edges == ()
+def test_no_edges_iff_even_square():
+    # the structural reason for the equality case dim = (w+1)*rF: only for an
+    # even square does the gluing join no faces and impose no cycles
+    for disc in (d for d in range(1, 201) if d % 4 in (0, 1)):
+        even_square = disc % 2 == 0 and isqrt(disc) ** 2 == disc
+        assert (_graph(disc).edges == ()) == even_square, disc
 
 
 def test_d8_edges_and_orbits():
