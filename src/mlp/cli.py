@@ -3,7 +3,8 @@
 Subcommands: forms, dim, basis, faces, sweep. Exit codes: 0 success,
 1 a sweep check failed, 2 bad discriminant, 3 bad weight, 4 I/O trouble.
 Set MLP_CACHE_DIR to cache dim/basis records on disk; identical queries then
-return byte-identical output without recomputation.
+return byte-identical output without recomputation. A cached record that does
+not answer its query is refused with exit 4, never served.
 """
 
 from __future__ import annotations
@@ -32,15 +33,10 @@ def _cache_path(disc: int, k: int, augmented: bool) -> str | None:
     return os.path.join(cache, f"v{__version__}_D{disc}_k{k}{tag}.json")
 
 
-def _record_text(disc: int, k: int, augmented: bool) -> str:
-    check_discriminant(disc)
-    check_weight(k)
-    path = _cache_path(disc, k, augmented)
-    if path and os.path.exists(path):
-        with open(path, encoding="utf-8") as fh:
-            return fh.read()
-    text = ResultRecord.from_space(compute_space(disc, k, augmented=augmented)).to_json()
-    if path:
+def _store(path: str, text: str) -> None:
+    """Write a record under its cache name atomically. A cache that cannot be
+    written costs only the reuse, so an OSError becomes a warning."""
+    try:
         os.makedirs(os.path.dirname(path), exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path), suffix=".tmp")
         try:
@@ -50,7 +46,33 @@ def _record_text(disc: int, k: int, augmented: bool) -> str:
         except BaseException:
             os.unlink(tmp)
             raise
-    return text
+    except OSError as exc:
+        print(f"warning: cache record {path} not written: {exc}", file=sys.stderr)
+
+
+def _record(disc: int, k: int, augmented: bool) -> tuple[str, ResultRecord]:
+    """The record's JSON text and object. A cached record is served verbatim,
+    and only if it answers this query."""
+    check_discriminant(disc)
+    check_weight(k)
+    path = _cache_path(disc, k, augmented)
+    if path and os.path.exists(path):
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+            rec = ResultRecord.from_json(text)
+            key = (rec["D"], rec["k"], rec["flags"]["augmented"], rec["toolVersion"])
+            ok = key == (disc, k, augmented, __version__) and rec["dim"] == len(rec["basis"])
+        except (ValueError, KeyError, TypeError):
+            ok = False
+        if not ok:
+            raise OSError(f"cache record {path} does not answer this query; remove it")
+        return text, rec
+    rec = ResultRecord.from_space(compute_space(disc, k, augmented=augmented))
+    text = rec.to_json()
+    if path:
+        _store(path, text)
+    return text, rec
 
 
 def cmd_forms(args: argparse.Namespace) -> int:
@@ -60,20 +82,20 @@ def cmd_forms(args: argparse.Namespace) -> int:
 
 
 def cmd_dim(args: argparse.Namespace) -> int:
-    print(_record_text(args.disc, args.weight, args.augmented), end="")
+    text, _ = _record(args.disc, args.weight, args.augmented)
+    print(text, end="")
     return 0
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    text = _record_text(args.disc, args.weight, args.augmented)
-    rec = ResultRecord.from_json(text)
+    text, rec = _record(args.disc, args.weight, args.augmented)
     print(
-        f"D={rec.disc} k={rec.k} dim={rec.dim} rF={rec.r_f} "
-        f"cuspFaces={rec.cusp_faces} orbitCount={rec.orbit_count}"
+        f"D={rec['D']} k={rec['k']} dim={rec['dim']} rF={rec['rF']} "
+        f"cuspFaces={rec['cuspFaces']} orbitCount={rec['orbitCount']}"
     )
-    for i, elem in enumerate(rec.basis, start=1):
+    for i, elem in enumerate(rec["basis"], start=1):
         print(f"element {i}")
-        for face in sorted(elem):
+        for face in sorted(elem, key=int):
             print(f"  face {face}: {render_poly(elem[face])}")
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -210,7 +232,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidWeight as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
 

@@ -6,8 +6,10 @@ import math
 
 from .arrangement import FaceComplex
 
+SCALE = 360.0  # pixels per unit of the upper half-plane
 
-def svg_figure(fc: FaceComplex, scale: float = 360.0, precision: int = 12) -> str:
+
+def svg_figure(fc: FaceComplex, precision: int = 12) -> str:
     pad = 0.1
     y_bot = math.sqrt(3) / 2 - pad
     y_top = fc.ycap + pad
@@ -17,10 +19,10 @@ def svg_figure(fc: FaceComplex, scale: float = 360.0, precision: int = 12) -> st
         return format(v, f".{precision}g")
 
     def px(x: float) -> str:
-        return fmt((x - x_min) * scale)
+        return fmt((x - x_min) * SCALE)
 
     def py(y: float) -> str:
-        return fmt((y_top - y) * scale)
+        return fmt((y_top - y) * SCALE)
 
     width = px(0.5 + pad)
     height = py(y_bot)
@@ -35,12 +37,12 @@ def svg_figure(fc: FaceComplex, scale: float = 360.0, precision: int = 12) -> st
     path(f"M {px(-0.5)} {py(ch)} L {px(-0.5)} {py(fc.ycap)}")
     path(f"M {px(0.5)} {py(ch)} L {px(0.5)} {py(fc.ycap)}")
     path(f"M {px(-0.5)} {py(fc.ycap)} L {px(0.5)} {py(fc.ycap)}")
-    r = fmt(scale)
+    r = fmt(SCALE)
     path(f"M {px(-0.5)} {py(ch)} A {r} {r} 0 0 1 {px(0.5)} {py(ch)}")
 
     # one path per clipped geodesic
     for arc in fc.arcs:
-        rr = fmt(math.sqrt(fc.disc) / (2 * arc.a) * scale)
+        rr = fmt(math.sqrt(fc.disc) / (2 * arc.a) * SCALE)
         x1, x2 = float(arc.lo), float(arc.hi)
         y1 = math.sqrt(float(arc.height_sq(arc.lo)))
         y2 = math.sqrt(float(arc.height_sq(arc.hi)))

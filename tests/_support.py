@@ -9,13 +9,17 @@ when two doubling resolutions agree.
 The Euler oracle counts the vertices and edges of the cell structure from
 the geodesics and the cap alone, so V - E + F = 1 checks the library's face
 count against numbers the library never computes.
+
+The dimension oracle writes every gluing relation as linear rows over all
+face coefficients at once and takes the nullity by rank modulo primes: no
+orbits, transport words, cycles or fixed spaces.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from math import isqrt
+from math import comb, isqrt
 
 from mlp import S, T, AlgebraicPoint, Mat2, enumerate_forms
 
@@ -179,3 +183,67 @@ def euler_counts(fc) -> tuple[int, int]:
     touch = {e for arc in fc.arcs for e in (arc.lo, arc.hi) if height_sq(arc, e) == 1 - e * e}
     edges += len(cap_pts | touch) - 1  # unit circle
     return len(verts), edges
+
+
+RANK_PRIMES = (2**61 - 1, 2**31 - 1)
+
+
+def _slash_columns(g, w: int) -> list[list[int]]:
+    """cols[j][i] is the coefficient of X^i in (aX+b)^j (cX+d)^(w-j), by the
+    binomial theorem, so P -> (cX+d)^w P((aX+b)/(cX+d)) sends coefficient j
+    of P to column j."""
+    a, b, c, d = g.a, g.b, g.c, g.d
+    return [
+        [
+            sum(
+                comb(j, s) * a**s * b ** (j - s)
+                * comb(w - j, i - s) * c ** (i - s) * d ** (w - j - i + s)
+                for s in range(max(0, i - w + j), min(j, i) + 1)
+            )
+            for i in range(w + 1)
+        ]
+        for j in range(w + 1)
+    ]
+
+
+def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
+    """Rank mod p of sparse integer rows {column: value}."""
+    pivots: dict[int, dict[int, int]] = {}
+    for row in rows:
+        row = {col: v % p for col, v in row.items() if v % p}
+        while row:
+            col = min(row)
+            piv = pivots.get(col)
+            if piv is None:
+                inv = pow(row[col], -1, p)
+                pivots[col] = {c: v * inv % p for c, v in row.items()}
+                break
+            f = row[col]
+            for c, v in piv.items():
+                nv = (row.get(c, 0) - f * v) % p
+                if nv:
+                    row[c] = nv
+                else:
+                    del row[c]
+    return len(pivots)
+
+
+def modular_rank_dim(graph, k: int) -> int:
+    """Dimension of the weight-k space of a gluing graph.
+
+    Each edge (src, dst, gen) gives the w+1 rows P_src - M_gen P_dst = 0 over
+    all (w+1)*rF coefficients, and the dimension is their nullity. A rank
+    mod p never exceeds the rank over Q, so the larger of two primes' ranks
+    is taken.
+    """
+    n = -k + 1
+    rows = []
+    for e in graph.edges:
+        cols = _slash_columns(e.gen, n - 1)
+        for i in range(n):
+            row = {e.src * n + i: 1}
+            for j in range(n):
+                key = e.dst * n + j
+                row[key] = row.get(key, 0) - cols[j][i]
+            rows.append(row)
+    return n * graph.n_faces - max(_rank_mod(rows, p) for p in RANK_PRIMES)

@@ -91,7 +91,7 @@ def test_basis_listing(capsys, tmp_path):
     assert lines[i + 1] == "  face 1: 1/1 X^2 + 1/1 X + 1/1"
     assert lines[i + 2] == "  face 2: 1/1 X^2 - 1/1 X + 1/1"
     rec = ResultRecord.from_json(out_json.read_text(encoding="utf-8"))
-    assert rec.disc == 5 and rec.dim == 2
+    assert rec["D"] == 5 and rec["dim"] == 2
 
 
 def test_basis_matches_dim_record(capsys, tmp_path):
@@ -220,7 +220,8 @@ def test_cache_round_trip(capsys, tmp_path, monkeypatch):
     code, second, _ = run(capsys, "dim", "--disc", "5", "--weight", "-2")
     assert code == 0 and second == first
     # the cached text is what gets printed, proving no recomputation
-    sentinel = first.replace('"dim": 2', '"dim": 2222')
+    sentinel = first.replace('"cuspFaces": 1', '"cuspFaces": 7')
+    assert sentinel != first
     cache_file.write_text(sentinel, encoding="utf-8")
     _, third, _ = run(capsys, "dim", "--disc", "5", "--weight", "-2")
     assert third == sentinel
@@ -235,17 +236,57 @@ def test_cache_key_separates_augmented(capsys, tmp_path, monkeypatch):
 
 
 def test_cache_write_failure_leaves_no_file(capsys, tmp_path, monkeypatch):
+    _, uncached, _ = run(capsys, "dim", "--disc", "5", "--weight", "-2")
     monkeypatch.setenv("MLP_CACHE_DIR", str(tmp_path))
 
     def refuse(src, dst):
         raise OSError("disk full")
 
     monkeypatch.setattr(cli.os, "replace", refuse)
+    # the answer is still printed; only the cache is lost
     code, out, err = run(capsys, "dim", "--disc", "5", "--weight", "-2")
-    assert code == 4 and out == ""
-    assert "disk full" in err
+    assert code == 0 and out == uncached
+    assert err.startswith("warning:") and "disk full" in err
     # neither the temp file nor a record is left behind
     assert list(tmp_path.glob("*.tmp")) == [] and list(tmp_path.glob("*.json")) == []
+
+
+def _corrupt(text: str, case: str) -> str:
+    obj = json.loads(text)
+    if case == "truncated":
+        return text[: len(text) // 2]
+    if case == "not an object":
+        return json.dumps([obj])
+    if case == "dim":
+        obj["dim"] = 2222
+    elif case == "dim != len(basis)":
+        obj["basis"].pop()
+    elif case == "flags.augmented":
+        obj["flags"]["augmented"] = True
+    elif case == "toolVersion":
+        obj["toolVersion"] = "0.0.9"
+    else:
+        obj[case] -= 4  # D or k: the record of another valid query
+    return json.dumps(obj, indent=2) + "\n"
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["truncated", "not an object", "D", "k", "flags.augmented", "toolVersion",
+     "dim", "dim != len(basis)"],
+)
+def test_cache_record_that_does_not_answer_is_refused(capsys, tmp_path, monkeypatch, case):
+    monkeypatch.setenv("MLP_CACHE_DIR", str(tmp_path))
+    _, first, _ = run(capsys, "dim", "--disc", "5", "--weight", "-2")
+    cache_file = tmp_path / "v0.1.0_D5_k-2.json"
+    bad = _corrupt(first, case)
+    assert bad != first
+    cache_file.write_text(bad, encoding="utf-8")
+    for cmd in ("dim", "basis"):
+        code, out, err = run(capsys, cmd, "--disc", "5", "--weight", "-2")
+        assert code == 4 and out == ""
+        assert err == f"error: cache record {cache_file} does not answer this query; remove it\n"
+        assert cache_file.read_text(encoding="utf-8") == bad
 
 
 def test_sweep_small(capsys):

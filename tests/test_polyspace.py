@@ -25,7 +25,7 @@ from mlp import (
 from mlp.arrangement import OnExceptional
 from mlp.polyspace import OutOfDomain, check_weight, fixed_space, slash_matrix, solve_space
 
-from _support import exceptional_points, random_word
+from _support import exceptional_points, modular_rank_dim, random_word
 
 HALF = Fraction(1, 2)
 RHO = AlgebraicPoint(HALF, Fraction(3, 4))
@@ -187,6 +187,14 @@ def test_basis_satisfies_every_gluing_relation():
                     lhs = elem.get(e.src, zeros)
                     rhs = slash_matrix(e.gen, w).apply(elem.get(e.dst, zeros))
                     assert tuple(lhs) == tuple(rhs)
+
+
+def test_dim_matches_modular_rank_oracle():
+    for disc in [d for d in range(1, 151) if d % 4 in (0, 1)]:
+        fc = build_arrangement(disc)
+        graph = build_gluing_graph(fc)
+        for k in (0, -2, -12):
+            assert solve_space(fc, graph, k).dim == modular_rank_dim(graph, k), (disc, k)
 
 
 def test_dim_bound_and_weight_zero_identity():

@@ -18,25 +18,44 @@ def test_frac_strings_round_trip():
     assert frac_str(Fraction(-5)) == "-5/1"
 
 
+def _render_fractions(coeffs) -> str:
+    """The renderer the CLI used while basis records were read back into
+    Fractions, kept as the reference for the string renderer."""
+    terms = []
+    for d in range(len(coeffs) - 1, -1, -1):
+        c = coeffs[d]
+        if c == 0:
+            continue
+        body = frac_str(abs(c))
+        if d == 1:
+            body += " X"
+        elif d > 1:
+            body += f" X^{d}"
+        if not terms:
+            terms.append(body if c > 0 else f"-{body}")
+        else:
+            terms.append(("+ " if c > 0 else "- ") + body)
+    return " ".join(terms) if terms else "0/1"
+
+
 def test_render_poly():
-    one = Fraction(1)
-    assert render_poly((one, -one, one)) == "1/1 X^2 - 1/1 X + 1/1"
-    assert render_poly((one, one, one)) == "1/1 X^2 + 1/1 X + 1/1"
-    assert render_poly((Fraction(0),)) == "0/1"
-    assert render_poly((one,)) == "1/1"
-    assert render_poly((Fraction(1, 2), Fraction(0), Fraction(-3))) == "-3/1 X^2 + 1/2"
+    assert render_poly(("1/1", "-1/1", "1/1")) == "1/1 X^2 - 1/1 X + 1/1"
+    assert render_poly(("1/1", "1/1", "1/1")) == "1/1 X^2 + 1/1 X + 1/1"
+    assert render_poly(("0/1",)) == "0/1"
+    assert render_poly(("1/1",)) == "1/1"
+    assert render_poly(("1/2", "0/1", "-3/1")) == "-3/1 X^2 + 1/2"
 
 
 def test_record_fields_for_golden_case():
     rec = ResultRecord.from_space(compute_space(5, -2))
-    assert rec.disc == 5 and rec.k == -2
-    assert rec.forms == ((1, 1, -1), (1, -1, -1))
-    assert rec.r_f == 3
-    assert rec.cusp_faces == 1
-    assert rec.orbit_count == 2
-    assert rec.dim == 2
-    assert not rec.even_square and not rec.augmented
-    assert rec.tool_version == __version__
+    assert rec["D"] == 5 and rec["k"] == -2
+    assert rec["forms"] == [[1, 1, -1], [1, -1, -1]]
+    assert rec["rF"] == 3
+    assert rec["cuspFaces"] == 1
+    assert rec["orbitCount"] == 2
+    assert rec["dim"] == 2
+    assert rec["flags"] == {"evenSquare": False, "augmented": False}
+    assert rec["toolVersion"] == __version__
 
 
 def test_record_json_shape():
@@ -94,7 +113,7 @@ def test_even_square_flag_tracks_equality():
     for disc in (4, 5, 9, 16, 17):
         for k in (-2, -4):
             rec = ResultRecord.from_space(compute_space(disc, k))
-            assert rec.even_square == (rec.dim == (-k + 1) * rec.r_f)
+            assert rec["flags"]["evenSquare"] == (rec["dim"] == (-k + 1) * rec["rF"])
 
 
 # sha256 of ResultRecord.from_space(compute_space(D, k, augmented)).to_json(),
@@ -112,3 +131,12 @@ def test_record_bytes_golden(disc, k, augmented):
     text = ResultRecord.from_space(compute_space(disc, k, augmented=augmented)).to_json()
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == GOLDEN_RECORD_SHA256[(disc, k, augmented)]
+
+
+@pytest.mark.parametrize("disc,k,augmented", sorted(GOLDEN_RECORD_SHA256))
+def test_render_poly_matches_fraction_reference(disc, k, augmented):
+    space = compute_space(disc, k, augmented=augmented)
+    rec = ResultRecord.from_space(space)
+    for elem, strings in zip(space.basis, rec["basis"], strict=True):
+        for face, coeffs in elem.items():
+            assert render_poly(strings[str(face)]) == _render_fractions(coeffs)
