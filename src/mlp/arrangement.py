@@ -169,14 +169,24 @@ class FaceComplex:
             apex = Fraction(-arc.b, 2 * arc.a)
             if arc.lo < apex < arc.hi:
                 crit.add(apex)
-        for i, ai in enumerate(arcs):
-            for aj in arcs[i + 1:]:
-                det = ai.a * aj.b - aj.a * ai.b
+        # two arcs cross at x = num/det; with det > 0, lo <= x <= hi is
+        # lo.n * det <= num * lo.d and num * hi.d <= hi.n * det
+        ends = [
+            (arc.a, arc.b, arc.c, arc.lo.numerator, arc.lo.denominator,
+             arc.hi.numerator, arc.hi.denominator)
+            for arc in arcs
+        ]
+        for i, (a1, b1, c1, ln1, ld1, hn1, hd1) in enumerate(ends):
+            for a2, b2, c2, ln2, ld2, hn2, hd2 in ends[i + 1:]:
+                det = a1 * b2 - a2 * b1
                 if det == 0:
                     continue  # concentric circles never meet
-                x = Fraction(aj.a * ai.c - ai.a * aj.c, det)
-                if ai.lo <= x <= ai.hi and aj.lo <= x <= aj.hi:
-                    crit.add(x)
+                num = a2 * c1 - a1 * c2
+                if det < 0:
+                    det, num = -det, -num
+                if (ln1 * det <= num * ld1 and num * hd1 <= hn1 * det
+                        and ln2 * det <= num * ld2 and num * hd2 <= hn2 * det):
+                    crit.add(Fraction(num, det))
 
         xs = sorted(crit)
         self.xs = xs

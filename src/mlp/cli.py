@@ -10,11 +10,13 @@ not answer its query is refused with exit 4, never served.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
+from itertools import chain
 
 from . import __version__
 from .arrangement import build_arrangement
@@ -50,6 +52,28 @@ def _store(path: str, text: str) -> None:
         print(f"warning: cache record {path} not written: {exc}", file=sys.stderr)
 
 
+def _answers(rec: ResultRecord, disc: int, k: int, augmented: bool) -> bool:
+    """Whether a parsed cache record answers this query: its key fields equal
+    the query's with their JSON types (5.0 is not 5, 0 is not false), and its
+    basis is dim objects mapping face numbers to lists of "p/q" strings."""
+    basis = rec["basis"]
+    key = (rec["D"], rec["k"], rec["flags"]["augmented"], rec["toolVersion"], rec["dim"])
+    if (
+        key != (disc, k, augmented, __version__, len(basis))
+        or tuple(map(type, key)) != (int, int, bool, str, int)
+        or type(basis) is not list
+        or not {dict}.issuperset(map(type, basis))
+    ):
+        return False
+    # type checks run over flat iterators: a warm hit walks every coefficient
+    coeffs = list(chain.from_iterable(map(dict.values, basis)))
+    return (
+        all(map(str.isdecimal, chain.from_iterable(basis)))
+        and {list}.issuperset(map(type, coeffs))
+        and {str}.issuperset(map(type, chain.from_iterable(coeffs)))
+    )
+
+
 def _record(disc: int, k: int, augmented: bool) -> tuple[str, ResultRecord]:
     """The record's JSON text and object. A cached record is served verbatim,
     and only if it answers this query."""
@@ -61,8 +85,7 @@ def _record(disc: int, k: int, augmented: bool) -> tuple[str, ResultRecord]:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
             rec = ResultRecord.from_json(text)
-            key = (rec["D"], rec["k"], rec["flags"]["augmented"], rec["toolVersion"])
-            ok = key == (disc, k, augmented, __version__) and rec["dim"] == len(rec["basis"])
+            ok = _answers(rec, disc, k, augmented)
         except (ValueError, KeyError, TypeError):
             ok = False
         if not ok:
@@ -182,7 +205,9 @@ def _positive_int(text: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: parse_args keeps no state in it."""
     parser = argparse.ArgumentParser(
         prog="mlp",
         description="Exact dimensions and bases of modular local polynomial spaces.",

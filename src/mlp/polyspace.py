@@ -10,8 +10,9 @@ polynomial must be fixed by every cycle word, everything else is transport.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt, lcm
 from operator import mul
 from typing import Sequence, Union
@@ -91,6 +92,11 @@ def slash_matrix(g: Mat2, w: int) -> SlashMatrix:
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
+def _units(w: int) -> list[tuple[Fraction, ...]]:
+    """The standard basis of coefficient vectors, 1, X, ..., X^w."""
+    return [tuple(_ONE if i == j else _ZERO for i in range(w + 1)) for j in range(w + 1)]
+
+
 def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fraction, ...]]:
     """Basis of the joint fixed space {v : M v = v for every M}.
 
@@ -108,7 +114,7 @@ def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fracti
             if any(row):
                 rows.append([Fraction(e) for e in row])
     if not rows:
-        return [tuple(_ONE if i == j else _ZERO for i in range(n)) for j in range(n)]
+        return _units(w)
     pivots: list[int] = []
     r = 0
     for col in range(n):
@@ -138,10 +144,11 @@ def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fracti
 
 @dataclass
 class LocalPolySpace:
-    """Exact basis of the weight-k space for one discriminant.
+    """Weight-k space for one discriminant.
 
-    basis[i] maps face index -> coefficient vector; faces a given element
-    vanishes on identically are simply absent from its mapping.
+    dim is counted from the root vectors alone. basis[i] maps face index ->
+    coefficient vector; faces a given element vanishes on identically are
+    simply absent from its mapping. It is transported on first read.
     """
 
     disc: int
@@ -152,12 +159,33 @@ class LocalPolySpace:
     graph: GluingGraph
     orbits: tuple[Orbit, ...]
     dim: int
-    basis: tuple[dict[int, tuple[Fraction, ...]], ...]
+    # per orbit (per face when augmented), the vectors its root polynomial
+    # may take; cycle-free entries share one standard basis
+    roots: tuple[list[tuple[Fraction, ...]], ...] = field(repr=False, compare=False)
+    # the slash matrix of every non-identity word the transport reads
+    slash: dict[Mat2, SlashMatrix] = field(repr=False, compare=False)
 
     @property
     def bound(self) -> int:
         """The paper's bound (w+1)*rF on dim."""
         return (self.w + 1) * self.complex.face_count()
+
+    @cached_property
+    def basis(self) -> tuple[dict[int, tuple[Fraction, ...]], ...]:
+        if self.augmented:
+            return tuple({f: u} for f, units in enumerate(self.roots) for u in units)
+        basis: list[dict[int, tuple[Fraction, ...]]] = []
+        for orb, vecs in zip(self.orbits, self.roots):
+            if not vecs:
+                continue
+            # a face reached by the identity word carries the root vector as is
+            transport = [
+                (f, None if orb.words[f] == IDENTITY else self.slash[orb.words[f]])
+                for f in orb.faces
+            ]
+            for v in vecs:
+                basis.append({f: v if m is None else m.apply(v) for f, m in transport})
+        return tuple(basis)
 
 
 def solve_space(
@@ -168,19 +196,21 @@ def solve_space(
     orbits: tuple[Orbit, ...] | None = None,
 ) -> LocalPolySpace:
     """Weight-k space of the complex; pass `orbits` if the caller already has
-    orbits_and_cycles(graph), else they are computed here."""
+    orbits_and_cycles(graph), else they are computed here.
+
+    Only the root vectors and slash matrices are built here; the basis is
+    transported when it is first read.
+    """
     w = check_weight(k)
     if orbits is None:
         orbits = orbits_and_cycles(graph)
-    basis: list[dict[int, tuple[Fraction, ...]]] = []
+    units = _units(w)
+    # one slash matrix per distinct word; the identity word is never built
+    mats: dict[Mat2, SlashMatrix] = {}
     if augmented:
         # no matching conditions at all: monomials on every face
-        units = fixed_space((), w)
-        for f in range(fc.face_count()):
-            basis.extend({f: u} for u in units)
+        roots = (units,) * fc.face_count()
     else:
-        # one slash matrix per distinct word; the identity word is never built
-        mats: dict[Mat2, SlashMatrix] = {}
 
         def slash(g: Mat2) -> SlashMatrix:
             m = mats.get(g)
@@ -188,18 +218,20 @@ def solve_space(
                 m = mats[g] = slash_matrix(g, w)
             return m
 
+        fixed: list[list[tuple[Fraction, ...]]] = []
         for orb in orbits:
-            vecs = fixed_space([slash(g) for g in orb.cycles if g != IDENTITY], w)
-            if not vecs:
-                continue
-            # a face reached by the identity word carries the root vector as is
-            transport = [
-                (f, None if orb.words[f] == IDENTITY else slash(orb.words[f]))
-                for f in orb.faces
-            ]
-            for v in vecs:
-                basis.append({f: v if m is None else m.apply(v) for f, m in transport})
-    return LocalPolySpace(fc.disc, k, w, augmented, fc, graph, orbits, len(basis), tuple(basis))
+            cycles = [slash(g) for g in orb.cycles if g != IDENTITY]
+            vecs = fixed_space(cycles, w) if cycles else units
+            # every transport word gets its matrix now: reading the basis
+            # later only applies them
+            if vecs:
+                for g in orb.words.values():
+                    if g != IDENTITY:
+                        slash(g)
+            fixed.append(vecs)
+        roots = tuple(fixed)
+    dim = sum(map(len, roots))
+    return LocalPolySpace(fc.disc, k, w, augmented, fc, graph, orbits, dim, roots, mats)
 
 
 def check_laws(

@@ -261,3 +261,31 @@ def test_locate_raises_when_point_matches_several_faces(monkeypatch):
     monkeypatch.setattr(arrangement, "eval_form", lambda q, p: 1)
     with pytest.raises(RuntimeError, match="matched faces"):
         fc.locate(AlgebraicPoint(0, 1))
+
+
+def _fraction_xs(fc) -> list[Fraction]:
+    """Critical abscissae from the arcs and vertical lines, with every
+    crossing built and range-checked as a Fraction."""
+    crit = {-HALF, HALF, Fraction(0)} | {v.x for v in fc.vlines}
+    for arc in fc.arcs:
+        crit |= {arc.lo, arc.hi}
+        apex = Fraction(-arc.b, 2 * arc.a)
+        if arc.lo < apex < arc.hi:
+            crit.add(apex)
+    for i, ai in enumerate(fc.arcs):
+        for aj in fc.arcs[i + 1:]:
+            det = ai.a * aj.b - aj.a * ai.b
+            if det:
+                x = Fraction(aj.a * ai.c - ai.a * aj.c, det)
+                if ai.lo <= x <= ai.hi and aj.lo <= x <= aj.hi:
+                    crit.add(x)
+    return sorted(crit)
+
+
+def test_crossings_match_fraction_reference(monkeypatch):
+    # only xs is compared, so the face assignment and boundary are skipped
+    monkeypatch.setattr(arrangement.FaceComplex, "_assign_faces", lambda self: None)
+    monkeypatch.setattr(arrangement.FaceComplex, "_build_boundary", lambda self: None)
+    for disc in [d for d in range(1, 401) if d % 4 in (0, 1)]:
+        fc = build_arrangement(disc)
+        assert fc.xs == _fraction_xs(fc), disc

@@ -11,6 +11,7 @@ import pytest
 from mlp import AlgebraicPoint, build_arrangement
 from mlp import cli
 from mlp.cli import main
+from mlp.polyspace import SlashMatrix
 from mlp.record import ResultRecord
 
 
@@ -265,6 +266,14 @@ def _corrupt(text: str, case: str) -> str:
         obj["flags"]["augmented"] = True
     elif case == "toolVersion":
         obj["toolVersion"] = "0.0.9"
+    elif case == "basis is a string":
+        obj["basis"] = "ab"  # as long as dim, 2
+    elif case == "D is a float":
+        obj["D"] = 5.0
+    elif case == "flags.augmented is 0":
+        obj["flags"]["augmented"] = 0
+    elif case == "coefficient is a number":
+        obj["basis"][0]["0"][0] = 1
     else:
         obj[case] -= 4  # D or k: the record of another valid query
     return json.dumps(obj, indent=2) + "\n"
@@ -273,7 +282,8 @@ def _corrupt(text: str, case: str) -> str:
 @pytest.mark.parametrize(
     "case",
     ["truncated", "not an object", "D", "k", "flags.augmented", "toolVersion",
-     "dim", "dim != len(basis)"],
+     "dim", "dim != len(basis)", "basis is a string", "D is a float",
+     "flags.augmented is 0", "coefficient is a number"],
 )
 def test_cache_record_that_does_not_answer_is_refused(capsys, tmp_path, monkeypatch, case):
     monkeypatch.setenv("MLP_CACHE_DIR", str(tmp_path))
@@ -340,6 +350,33 @@ def test_sweep_reports_law_failures(capsys, monkeypatch):
         "FAIL D=9 k=0: dim 11 != orbit count 10",
         "FAIL D=12 k=0: dim 5 != orbit count 4",
     ]
+
+
+# sha256 of `mlp sweep --max-disc 60` stdout, taken before the sweep stopped
+# building bases
+SWEEP_60_SHA256 = "7a0e91648992d95f2c460801501a189caeaa09832a5fba6b86da6b65bfbf255d"
+
+
+def test_sweep_transports_nothing(capsys, monkeypatch):
+    def refuse(self, vec):
+        raise AssertionError("the sweep transported a basis vector")
+
+    monkeypatch.setattr(SlashMatrix, "apply", refuse)
+    code, out, err = run(capsys, "sweep", "--max-disc", "60")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_60_SHA256
+
+
+def test_calls_in_one_process_share_no_state(capsys, tmp_path):
+    assert cli.build_parser() is cli.build_parser()
+    path = tmp_path / "rec.json"
+    code, _, _ = run(capsys, "basis", "--disc", "5", "--weight", "-2", "--json", str(path))
+    assert code == 0 and path.exists()
+    path.unlink()
+    code, out, _ = run(capsys, "dim", "--disc", "5", "--weight", "-2")
+    assert code == 0 and json.loads(out)["dim"] == 2
+    # --json of the first call does not carry over
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_sweep_rejects_bad_weights(capsys):

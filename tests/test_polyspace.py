@@ -22,6 +22,7 @@ from mlp import (
     evaluate,
     orbits_and_cycles,
 )
+from mlp import polyspace
 from mlp.arrangement import OnExceptional
 from mlp.polyspace import OutOfDomain, check_weight, fixed_space, slash_matrix, solve_space
 
@@ -195,6 +196,31 @@ def test_dim_matches_modular_rank_oracle():
         graph = build_gluing_graph(fc)
         for k in (0, -2, -12):
             assert solve_space(fc, graph, k).dim == modular_rank_dim(graph, k), (disc, k)
+
+
+def test_dim_counts_the_basis():
+    for disc in [d for d in range(1, 151) if d % 4 in (0, 1)]:
+        fc = build_arrangement(disc)
+        graph = build_gluing_graph(fc)
+        orbits = orbits_and_cycles(graph)
+        for k, augmented in [(0, False), (-2, False), (-4, False), (-12, False),
+                             (0, True), (-2, True)]:
+            space = solve_space(fc, graph, k, augmented=augmented, orbits=orbits)
+            assert space.dim == len(space.basis), (disc, k, augmented)
+
+
+def test_basis_read_runs_no_elimination(monkeypatch):
+    space = compute_space(33, -4)
+    assert any(orb.cycles for orb in space.orbits)  # so fixed_space ran
+
+    def refuse(*args):
+        raise AssertionError("basis read built a matrix or solved a system")
+
+    monkeypatch.setattr(polyspace, "fixed_space", refuse)
+    monkeypatch.setattr(polyspace, "slash_matrix", refuse)
+    basis = space.basis
+    assert len(basis) == space.dim
+    assert space.basis is basis  # transported once
 
 
 def test_dim_bound_and_weight_zero_identity():
