@@ -7,20 +7,26 @@ Heights are kept as y^2, so every stored value is an exact Fraction.
 Faces are connected components of the domain minus the listed geodesics.
 They are found by a sweep: the x-axis is cut at every critical abscissa
 (arc endpoints, apexes, crossings, vertical lines); inside each open slab the
-surviving arcs are totally ordered by height, giving a vertical stack of
-cells, and cells of adjacent slabs are merged when their open height
-intervals overlap across the shared boundary and no vertical geodesic
-separates them.
+surviving arcs are totally ordered by height, a column from the unit circle
+(the floor) to the cap, and the cell between two neighbours of the column is
+one piece of a face. The sweep keeps one column and changes it only where an
+event does (Bentley-Ottmann): arcs that end at a boundary end on the unit
+circle, so they leave from the bottom; arcs that start there enter at the
+bottom; arcs through one point cross there, so their adjacent group
+reverses. A run is a cell whose two neighbours stay the same across
+consecutive slabs; only the runs a change opens are merged with the runs it
+ends, and across a vertical geodesic no run continues and nothing merges.
+Faces are the classes of that union-find over runs.
 
 Heights are compared as integers. At x = p/q the arc of [a, b, c] (a > 0)
 has y^2 = -(a p^2 + b p q + c q^2) / (a q^2), so scaling every height at x by
 q^2 * L, with L the lcm of the leading coefficients of all arcs, gives the
 integers -(a p^2 + b p q + c q^2) * (L / a) for arcs, (q^2 - p^2) * L for the
-unit circle and ycap^2 * q^2 * L for the cap. One L serves every stack, so
-values of different stacks at the same x compare directly. Slabs are sorted
-by these keys at their midpoints. At a slab boundary the left and right
-stacks are two sorted partitions of the same range [1 - x^2, ycap^2], so one
-linear merge finds every pair of overlapping cells.
+unit circle and ycap^2 * q^2 * L for the cap. One L serves every column, so
+values of different columns at the same x compare directly. Where a
+boundary changes the column, the changed window of cells on either side
+partitions the same height range, so one linear merge finds every pair of
+overlapping cells.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import isqrt, lcm
 from typing import Optional, Sequence, Union
 
@@ -41,6 +48,9 @@ from .geometry import (
     is_even_square,
     semicircle_interval,
 )
+
+# column entries that are not arcs, as indices into FaceComplex._coeffs
+FLOOR, CAP = -2, -1
 
 
 class OutOfRegion(ValueError):
@@ -93,7 +103,7 @@ class BottomSegment:
 class Face:
     index: int
     sample: AlgebraicPoint
-    is_cusp: bool  # owns cells touching the cap (unbounded component)
+    is_cusp: bool  # has a run under the cap (unbounded component)
 
 
 @dataclass(frozen=True)
@@ -154,13 +164,19 @@ class FaceComplex:
         self.arcs = tuple(arcs)
         self.vlines = tuple(vlines)
 
-        self._build_cells()
-        self._assign_faces()
-        self._build_boundary()
+        self._lcm_a = lcm(*(arc.a for arc in arcs))
+        self._coeffs = [(arc.a, arc.b, arc.c, self._lcm_a // arc.a) for arc in arcs]
+        # FLOOR and CAP, the unit circle and y^2 = ycap^2, in the same terms
+        self._coeffs += [(1, 0, -1, self._lcm_a), (0, 0, -ycap * ycap, self._lcm_a)]
+        self._sweep(self._events())
 
     # -- construction -------------------------------------------------
 
-    def _build_cells(self) -> None:
+    def _events(self) -> tuple[dict[int, list[int]], dict[int, int], dict[int, set[int]], set]:
+        """Set xs, the sorted critical abscissae, and return what happens at
+        each position of xs: the arcs that start there, how many end there,
+        the arcs that cross there while running through it, and the
+        positions of the vertical lines."""
         arcs = self.arcs
         crit = {-HALF, HALF, Fraction(0)} | {v.x for v in self.vlines}
         for arc in arcs:
@@ -176,8 +192,9 @@ class FaceComplex:
              arc.hi.numerator, arc.hi.denominator)
             for arc in arcs
         ]
+        crossings = []
         for i, (a1, b1, c1, ln1, ld1, hn1, hd1) in enumerate(ends):
-            for a2, b2, c2, ln2, ld2, hn2, hd2 in ends[i + 1:]:
+            for j, (a2, b2, c2, ln2, ld2, hn2, hd2) in enumerate(ends[i + 1:], i + 1):
                 det = a1 * b2 - a2 * b1
                 if det == 0:
                     continue  # concentric circles never meet
@@ -186,49 +203,48 @@ class FaceComplex:
                     det, num = -det, -num
                 if (ln1 * det <= num * ld1 and num * hd1 <= hn1 * det
                         and ln2 * det <= num * ld2 and num * hd2 <= hn2 * det):
-                    crit.add(Fraction(num, det))
+                    crossings.append((Fraction(num, det), i, j))
+        crit.update(x for x, _, _ in crossings)
 
-        xs = sorted(crit)
-        self.xs = xs
-        self._lcm_a = lcm(*(arc.a for arc in arcs))
-        self._arc_coeffs = [(arc.a, arc.b, arc.c, self._lcm_a // arc.a) for arc in arcs]
-        # lo and hi are critical abscissae, so an arc covers exactly the
-        # slabs between their positions in xs
+        self.xs = xs = sorted(crit)
         pos = {x: i for i, x in enumerate(xs)}
-        covering: list[list[int]] = [[] for _ in range(len(xs) - 1)]
+        starts: dict[int, list[int]] = {}
+        stops: dict[int, int] = {}
+        span = []
         for k, arc in enumerate(arcs):
-            for si in range(pos[arc.lo], pos[arc.hi]):
-                covering[si].append(k)
-        self.slab_arcs: list[tuple[int, ...]] = []
-        for si, idxs in enumerate(covering):
-            m = (xs[si] + xs[si + 1]) / 2
-            heights = self._arc_heights(idxs, m.numerator, m.denominator)
-            self.slab_arcs.append(tuple(k for _, k in sorted(zip(heights, idxs))))
+            lo, hi = pos[arc.lo], pos[arc.hi]
+            starts.setdefault(lo, []).append(k)
+            stops[hi] = stops.get(hi, 0) + 1
+            span.append((lo, hi))
+        through: dict[int, set[int]] = {}
+        for x, i, j in crossings:
+            b = pos[x]
+            # a crossing at an arc's end lies on the unit circle, where both
+            # arcs end or start: the column's bottom handles it
+            if span[i][0] < b < span[i][1] and span[j][0] < b < span[j][1]:
+                through.setdefault(b, set()).update((i, j))
+        return starts, stops, through, {pos[v.x] for v in self.vlines}
 
-    def _arc_heights(self, idxs: Sequence[int], p: int, q: int) -> list[int]:
-        """y^2 * q^2 * L of arcs idxs at x = p/q, with L the lcm of the arcs' a."""
+    def _heights(self, entries: Sequence[int], p: int, q: int) -> list[int]:
+        """y^2 * q^2 * L of column entries (arcs, FLOOR, CAP) at x = p/q."""
         pp, pq, qq = p * p, p * q, q * q
-        coeffs = self._arc_coeffs
-        return [-(a * pp + b * pq + c * qq) * s for a, b, c, s in (coeffs[k] for k in idxs)]
+        coeffs = self._coeffs
+        return [-(a * pp + b * pq + c * qq) * s for a, b, c, s in (coeffs[k] for k in entries)]
 
-    def _int_stack(self, si: int, x: Fraction) -> list[int]:
-        """Heights y^2 delimiting the cells of slab si at x = p/q, bottom to
-        cap, each times q^2 * L; the factor depends on x alone, so the stacks
-        of two slabs at one x compare directly."""
-        p, q = x.numerator, x.denominator
-        vals = [(q * q - p * p) * self._lcm_a]
-        vals.extend(self._arc_heights(self.slab_arcs[si], p, q))
-        vals.append(self.ycap * self.ycap * q * q * self._lcm_a)
-        return vals
+    def _by_height(self, idxs: Sequence[int], m: Fraction) -> list[int]:
+        """Arcs idxs bottom to top at the abscissa m, where none meet."""
+        return [k for _, k in sorted(zip(self._heights(idxs, m.numerator, m.denominator), idxs))]
 
-    def _assign_faces(self) -> None:
-        nslab = len(self.xs) - 1
-        offsets = []
-        total = 0
-        for si in range(nslab):
-            offsets.append(total)
-            total += len(self.slab_arcs[si]) + 1
-        parent = list(range(total))
+    def _sweep(self, events) -> None:
+        starts, stops, through, vertical = events
+        xs = self.xs
+        nslab = len(xs) - 1
+        heights = self._heights
+        # a run is (first slab, level there + base, entry below, entry above);
+        # last[r] is its last slab
+        runs: list[tuple[int, int, int, int]] = []
+        last: list[int] = []
+        parent: list[int] = []
 
         def find(i: int) -> int:
             while parent[i] != i:
@@ -236,74 +252,139 @@ class FaceComplex:
                 i = parent[i]
             return i
 
-        def union(i: int, j: int) -> None:
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[rj] = ri
+        def open_runs(lo: int, hi: int, si: int) -> list[int]:
+            """Runs for cells lo..hi of the column in slab si, numbered
+            cap-down so that run order is (first slab, -level); returned
+            bottom-up."""
+            for lvl in range(hi, lo - 1, -1):
+                runs.append((si, lvl + base, col[lvl], col[lvl + 1]))
+            last.extend([nslab - 1] * (hi - lo + 1))
+            parent.extend(range(len(parent), len(runs)))
+            return list(range(len(runs) - 1, len(runs) - 2 - hi + lo, -1))
 
-        vline_x = {v.x for v in self.vlines}
+        # col is the column bottom to top, FLOOR to CAP; arc k is col[where[k] - base],
+        # so dropping or inserting at the bottom moves base, not every arc
+        col = [FLOOR, *self._by_height(starts.get(0, ()), (xs[0] + xs[1]) / 2), CAP]
+        where = [0] * len(self.arcs)
+        base = 0
+        for i in range(1, len(col) - 1):
+            where[col[i]] = i
+        cells = open_runs(0, len(col) - 2, 0)  # cells[lvl]: run of the cell above col[lvl]
+        left = (col[:], cells[:])
+        self._base, self._depth, bottom = [base], [len(cells)], [cells[0]]
+
         for b in range(1, nslab):
-            xb = self.xs[b]
-            if xb in vline_x:
-                continue
-            lvals = self._int_stack(b - 1, xb)
-            rvals = self._int_stack(b, xb)
-            # both stacks partition [1 - xb^2, cap^2]: walk them together,
-            # joining cells whose open intervals overlap (a pinched cell
-            # overlaps nothing), and step past the lower top. Ties step k,
-            # so l stops at the shared cap.
-            k = l = 0
-            nk = len(lvals) - 1
-            while k < nk:
-                if max(lvals[k], rvals[l]) < min(lvals[k + 1], rvals[l + 1]):
-                    union(offsets[b - 1] + k, offsets[b] + l)
-                if rvals[l + 1] < lvals[k + 1]:
-                    l += 1
+            e, new, crossing = stops.get(b, 0), starts.get(b, ()), through.get(b, ())
+            if e or new or crossing or b in vertical:
+                xb = xs[b]
+                p, q = xb.numerator, xb.denominator
+                # adjacent arcs through one point, as index spans after the drop
+                flips = []
+                if crossing:
+                    at = sorted(where[k] - base for k in crossing)
+                    hs = heights([col[i] for i in at], p, q)
+                    g = 0
+                    for t in range(1, len(at) + 1):
+                        if t == len(at) or at[t] != at[t - 1] + 1 or hs[t] != hs[t - 1]:
+                            if t - g > 1:
+                                flips.append((at[g] - e, at[t - 1] - e))
+                            g = t
+                # the cells whose neighbours change, as spans after the drop;
+                # one that reaches cell 0 also holds the e ending and s new arcs
+                wins = [[0, 0]] if e or new else []
+                for lo, hi in flips:
+                    if wins and lo - 1 <= wins[-1][1]:
+                        wins[-1][1] = hi
+                    else:
+                        wins.append([lo - 1, hi])
+                lvals = [heights(col[(c0 + e if c0 else 0):c1 + e + 2], p, q) for c0, c1 in wins]
+
+                if e:
+                    del col[1:e + 1]
+                    base += e
+                for lo, hi in flips:
+                    col[lo:hi + 1] = col[lo:hi + 1][::-1]
+                    for i in range(lo, hi + 1):
+                        where[col[i]] = i + base
+                if new:
+                    new = self._by_height(new, (xb + xs[b + 1]) / 2)
+                    col[1:1] = new
+                    base -= len(new)
+                    for i, k in enumerate(new, 1):
+                        where[k] = i + base
+                s = len(new)
+
+                if b in vertical:
+                    # no run crosses a vertical geodesic
+                    for r in cells:
+                        last[r] = b - 1
+                    cells = open_runs(0, len(col) - 2, b)
                 else:
-                    k += 1
+                    # top window first: only the bottom one changes length
+                    for (c0, c1), lv in zip(reversed(wins), reversed(lvals)):
+                        lo_l, lo_r = (c0 + e, c0 + s) if c0 else (0, 0)
+                        ended = cells[lo_l:c1 + e + 1]
+                        fresh = open_runs(lo_r, c1 + s, b)
+                        cells[lo_l:c1 + e + 1] = fresh
+                        rv = heights(col[lo_r:c1 + s + 2], p, q)
+                        # both windows partition one height range: walk them
+                        # together, joining runs whose open intervals overlap
+                        # (a pinched cell overlaps nothing), and step past the
+                        # lower top. Ties step k, so l stops at the shared top.
+                        k = l = 0
+                        while k < len(lv) - 1:
+                            if max(lv[k], rv[l]) < min(lv[k + 1], rv[l + 1]):
+                                ri, rj = find(ended[k]), find(fresh[l])
+                                if ri != rj:
+                                    parent[rj] = ri
+                            if rv[l + 1] < lv[k + 1]:
+                                l += 1
+                            else:
+                                k += 1
+                        for r in ended:
+                            last[r] = b - 1
+            self._base.append(base)
+            self._depth.append(len(cells))
+            bottom.append(cells[0])
 
-        # ids scan slabs left to right and each stack cap-down, so for every
+        # ids follow the least (first slab, -level) of each face's runs, the
+        # scan "slabs left to right, each column cap-down": for every
         # discriminant the face at infinity of the leftmost slab gets id 0
-        self.face_of: list[list[int]] = []
-        first_cell: list[tuple[int, int]] = []
-        root_to_id: dict[int, int] = {}
-        for si in range(nslab):
-            row = [-1] * (len(self.slab_arcs[si]) + 1)
-            for lvl in range(len(self.slab_arcs[si]), -1, -1):
-                r = find(offsets[si] + lvl)
-                fid = root_to_id.get(r)
-                if fid is None:
-                    fid = len(root_to_id)
-                    root_to_id[r] = fid
-                    first_cell.append((si, lvl))
-                row[lvl] = fid
-            self.face_of.append(row)
+        ids: dict[int, int] = {}
+        self._face: list[int] = []  # per run
+        self._first_run: list[int] = []  # per face
+        for r in range(len(runs)):
+            root = find(r)
+            if root not in ids:
+                ids[root] = len(self._first_run)
+                self._first_run.append(r)
+            self._face.append(ids[root])
+        self._runs, self._last = runs, last
+        # the faces with a run under the cap: cusp membership without samples
+        self.cusp_faces = frozenset(f for f, run in zip(self._face, runs) if run[3] == CAP)
+        self._build_boundary(left, (col, cells), bottom)
 
-        cusp_ids = {row[-1] for row in self.face_of}
-        faces = []
-        for fid, (si, lvl) in enumerate(first_cell):
-            m = (self.xs[si] + self.xs[si + 1]) / 2
-            vals = self._int_stack(si, m)
-            mid = Fraction(vals[lvl] + vals[lvl + 1], 2 * m.denominator ** 2 * self._lcm_a)
-            sample = AlgebraicPoint(m, mid)
-            faces.append(Face(fid, sample, fid in cusp_ids))
-        self.faces: tuple[Face, ...] = tuple(faces)
-
-    def _wall_segments(self, left: bool) -> tuple[WallSegment, ...]:
-        si = 0 if left else len(self.xs) - 2
-        x = -HALF if left else HALF
-        vals = self._int_stack(si, x)
+    def _wall_segments(
+        self, col: list[int], cells: list[int], x: Fraction
+    ) -> tuple[WallSegment, ...]:
+        vals = self._heights(col, x.numerator, x.denominator)
         scale = x.denominator ** 2 * self._lcm_a
         segs = []
         for k in range(len(vals) - 1):
             if vals[k] < vals[k + 1]:
                 hi = None if k == len(vals) - 2 else Fraction(vals[k + 1], scale)
-                segs.append(WallSegment(Fraction(vals[k], scale), hi, self.face_of[si][k]))
+                segs.append(WallSegment(Fraction(vals[k], scale), hi, self._face[cells[k]]))
         return tuple(segs)
 
-    def _build_boundary(self) -> None:
-        self.left_segments = () if self.left_wall_in_e else self._wall_segments(True)
-        self.right_segments = () if self.right_wall_in_e else self._wall_segments(False)
+    def _build_boundary(
+        self, left: tuple[list[int], list[int]], right: tuple[list[int], list[int]],
+        bottom: list[int],
+    ) -> None:
+        """Wall segments from the first and the last column, bottom segments
+        from the floor run of each slab, given as (column, runs) and one run
+        per slab."""
+        self.left_segments = () if self.left_wall_in_e else self._wall_segments(*left, -HALF)
+        self.right_segments = () if self.right_wall_in_e else self._wall_segments(*right, HALF)
 
         if self.bottom_in_e:
             self.bottom_segments: tuple[BottomSegment, ...] = ()
@@ -317,19 +398,57 @@ class FaceComplex:
                 if (arc.a + arc.c) * e.denominator + arc.b * e.numerator == 0
             }
             breaks = sorted({-HALF, HALF, Fraction(0)} | touch | {v.x for v in self.vlines})
-            segs = []
-            for xa, xb in zip(breaks, breaks[1:]):
-                m = (xa + xb) / 2
-                segs.append(BottomSegment(xa, xb, self.face_of[self._slab_of(m)][0]))
-            self.bottom_segments = tuple(segs)
+            # arcs leave and join the floor only at touch points and only a
+            # vertical line cuts it, so between breaks the floor cell keeps
+            # its face
+            self.bottom_segments = tuple(
+                BottomSegment(xa, xb, self._face[bottom[bisect_left(self.xs, xa)]])
+                for xa, xb in zip(breaks, breaks[1:])
+            )
 
     # -- queries --------------------------------------------------------
 
+    @cached_property
+    def faces(self) -> tuple[Face, ...]:
+        """Each face sampled at the middle of its first run's cell."""
+        faces = []
+        for fid, r in enumerate(self._first_run):
+            si, _, below, above = self._runs[r]
+            m = (self.xs[si] + self.xs[si + 1]) / 2
+            lo, hi = self._heights((below, above), m.numerator, m.denominator)
+            mid = Fraction(lo + hi, 2 * m.denominator ** 2 * self._lcm_a)
+            faces.append(Face(fid, AlgebraicPoint(m, mid), fid in self.cusp_faces))
+        return tuple(faces)
+
+    @cached_property
+    def _rows(self) -> tuple[list[tuple[int, ...]], list[list[int]]]:
+        """slab_arcs and face_of, laid out from the runs."""
+        arcs_rows = [[0] * (d - 1) for d in self._depth]
+        face_rows = [[0] * d for d in self._depth]
+        base = self._base
+        for (first, v, _, above), end, fid in zip(self._runs, self._last, self._face):
+            for si in range(first, end + 1):
+                lvl = v - base[si]
+                face_rows[si][lvl] = fid
+                if above != CAP:
+                    arcs_rows[si][lvl] = above
+        return [tuple(row) for row in arcs_rows], face_rows
+
+    @property
+    def slab_arcs(self) -> list[tuple[int, ...]]:
+        """Per slab, its arcs bottom to top."""
+        return self._rows[0]
+
+    @property
+    def face_of(self) -> list[list[int]]:
+        """Per slab, the face of each cell, floor first."""
+        return self._rows[1]
+
     def face_count(self) -> int:
-        return len(self.faces)
+        return len(self._first_run)
 
     def cusp_face_count(self) -> int:
-        return sum(1 for f in self.faces if f.is_cusp)
+        return len(self.cusp_faces)
 
     def boundary_segments(self) -> BoundarySegments:
         return BoundarySegments(
@@ -341,16 +460,10 @@ class FaceComplex:
             self.bottom_in_e,
         )
 
-    def _slab_of(self, x: Fraction) -> int:
-        i = bisect_left(self.xs, x)
-        if i < len(self.xs) and self.xs[i] == x:
-            return min(i, len(self.xs) - 2)
-        return i - 1
-
     def locate(self, p: AlgebraicPoint) -> Union[int, OnExceptional]:
         """Face containing p, or the adjacent faces when p is on a geodesic.
 
-        Points above the cap are fine (the stack is constant up there); only
+        Points above the cap are fine (the column is constant up there); only
         the walls and the unit circle bound the region.
         """
         x, s = p.x, p.s
@@ -365,7 +478,7 @@ class FaceComplex:
             cand = [i - 1]
         hits: set[int] = set()
         for si in cand:
-            vals = self._int_stack(si, x)
+            vals = self._heights([FLOOR, *self.slab_arcs[si], CAP], x.numerator, x.denominator)
             for k in range(len(vals) - 1):
                 if vals[k] <= s_eff <= vals[k + 1]:
                     hits.add(self.face_of[si][k])

@@ -100,45 +100,52 @@ def _units(w: int) -> list[tuple[Fraction, ...]]:
 def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fraction, ...]]:
     """Basis of the joint fixed space {v : M v = v for every M}.
 
-    Plain Gauss-Jordan over Fraction; each basis vector is scaled so its
-    first nonzero coefficient (lowest degree) is 1, and the vectors come out
-    ordered by free column. With no constraints this is the standard basis.
+    Fraction-free Gauss-Jordan (Bareiss, 1968) on the integer rows of M - I:
+    after each pivot every pivot row holds the same determinant d at its own
+    pivot and zeros in the other pivot columns, and each division by the
+    previous d is exact, so the rows are d times the reduced echelon form.
+    Each basis vector is scaled so its first nonzero coefficient (lowest
+    degree) is 1, and the vectors come out ordered by free column. With no
+    constraints this is the standard basis.
     """
     n = w + 1
-    rows: list[list[Fraction]] = []
+    rows: list[list[int]] = []
     for m in constraints:
         if m.w != w:
             raise InvalidWeight("constraint weight does not match")
         for i in range(n):
             row = [m.mat[i][j] - (i == j) for j in range(n)]
             if any(row):
-                rows.append([Fraction(e) for e in row])
+                rows.append(row)
     if not rows:
         return _units(w)
     pivots: list[int] = []
-    r = 0
+    d = 1
     for col in range(n):
+        r = len(pivots)
         hit = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if hit is None:
             continue
         rows[r], rows[hit] = rows[hit], rows[r]
-        rows[r] = [e / rows[r][col] for e in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        prow, p = rows[r], rows[r][col]
+        for i, row in enumerate(rows):
+            if i != r:
+                f = row[col]
+                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
+        d = p
         pivots.append(col)
-        r += 1
-        if r == len(rows):
+        # rows past the pivots that cancelled to zero constrain nothing
+        rows[r + 1:] = [row for row in rows[r + 1:] if any(row)]
+        if r + 1 == len(rows):
             break
     basis = []
     for free in (c for c in range(n) if c not in pivots):
-        v = [Fraction(0)] * n
-        v[free] = Fraction(1)
+        v = [0] * n
+        v[free] = d
         for ri, pc in enumerate(pivots):
             v[pc] = -rows[ri][free]
         lead = next(x for x in v if x)
-        basis.append(tuple(x / lead for x in v))
+        basis.append(tuple(Fraction(x, lead) for x in v))
     return basis
 
 
@@ -255,7 +262,7 @@ def check_laws(
     if cusp != expect_cusp:
         fails.append(f"D={disc}: cuspFaces={cusp}, expected {expect_cusp}")
     if square and root % 2:
-        cusp_orbits = sum(1 for orb in orbits if any(fc.faces[f].is_cusp for f in orb.faces))
+        cusp_orbits = sum(1 for orb in orbits if not fc.cusp_faces.isdisjoint(orb.faces))
         if cusp_orbits != root:
             fails.append(f"D={disc}: cusp orbit count {cusp_orbits}, expected {root}")
 

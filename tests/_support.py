@@ -17,11 +17,12 @@ orbits, transport words, cycles or fixed spaces.
 
 from __future__ import annotations
 
+import hashlib
 import random
 from fractions import Fraction
 from math import comb, isqrt
 
-from mlp import S, T, AlgebraicPoint, Mat2, enumerate_forms
+from mlp import S, T, AlgebraicPoint, Mat2, build_arrangement, enumerate_forms
 
 HALF = Fraction(1, 2)
 
@@ -247,3 +248,26 @@ def modular_rank_dim(graph, k: int) -> int:
                 row[key] = row.get(key, 0) - cols[j][i]
             rows.append(row)
     return n * graph.n_faces - max(_rank_mod(rows, p) for p in RANK_PRIMES)
+
+
+def arrangement_digest(max_disc: int) -> str:
+    """sha256 over every valid D <= max_disc, in order, of the face of every
+    cell, each face's sample and cusp flag, and the boundary segments."""
+    h = hashlib.sha256()
+    for d in range(1, max_disc + 1):
+        if d % 4 not in (0, 1):
+            continue
+        fc = build_arrangement(d)
+        b = fc.boundary_segments()
+        h.update(repr((
+            d,
+            [list(r) for r in fc.face_of],
+            [(f.index, str(f.sample.x), str(f.sample.s), f.is_cusp) for f in fc.faces],
+            [(str(s.s_lo), str(s.s_hi), s.face) for s in b.left],
+            [(str(s.s_lo), str(s.s_hi), s.face) for s in b.right],
+            [(str(s.x_lo), str(s.x_hi), s.face) for s in b.bottom],
+            b.left_wall_in_e,
+            b.right_wall_in_e,
+            b.bottom_in_e,
+        )).encode())
+    return h.hexdigest()

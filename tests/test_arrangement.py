@@ -8,7 +8,7 @@ import pytest
 from mlp import AlgebraicPoint, arrangement, build_arrangement
 from mlp.arrangement import OnExceptional, OutOfRegion
 
-from _support import euler_counts, stable_grid_face_count
+from _support import arrangement_digest, euler_counts, stable_grid_face_count
 
 HALF = Fraction(1, 2)
 
@@ -283,9 +283,17 @@ def _fraction_xs(fc) -> list[Fraction]:
 
 
 def test_crossings_match_fraction_reference(monkeypatch):
-    # only xs is compared, so the face assignment and boundary are skipped
-    monkeypatch.setattr(arrangement.FaceComplex, "_assign_faces", lambda self: None)
-    monkeypatch.setattr(arrangement.FaceComplex, "_build_boundary", lambda self: None)
+    # only xs is compared, so the sweep over the slabs is skipped
+    monkeypatch.setattr(arrangement.FaceComplex, "_sweep", lambda self, events: None)
     for disc in [d for d in range(1, 401) if d % 4 in (0, 1)]:
         fc = build_arrangement(disc)
         assert fc.xs == _fraction_xs(fc), disc
+
+
+# arrangement_digest(200), taken from the cell-by-cell sweep before the
+# sweep moved to runs: face ids, samples and boundary segments are pinned
+ARRANGEMENT_200_SHA256 = "2b8f10c4d3c131e58076c1253d1ce4093d6a7115594da8015089bb1d09251cae"
+
+
+def test_arrangement_digest_pinned():
+    assert arrangement_digest(200) == ARRANGEMENT_200_SHA256

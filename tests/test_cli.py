@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from mlp import AlgebraicPoint, build_arrangement
-from mlp import cli
+from mlp import arrangement, cli
 from mlp.cli import main
 from mlp.polyspace import SlashMatrix
 from mlp.record import ResultRecord
@@ -365,6 +365,23 @@ def test_sweep_transports_nothing(capsys, monkeypatch):
     code, out, err = run(capsys, "sweep", "--max-disc", "60")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_60_SHA256
+
+
+# sha256 of `mlp dim --disc 33 --weight -2` stdout
+DIM_33_SHA256 = "54fc8d2ed0197feedb8ebf8ddbf88207508e0306e94ac294caba216c58cc1a67"
+
+
+def test_sweep_and_dim_build_no_face_sample(capsys, monkeypatch):
+    def refuse(x, s):
+        raise AssertionError("a face sample was built")
+
+    monkeypatch.setattr(arrangement, "AlgebraicPoint", refuse)
+    code, out, err = run(capsys, "sweep", "--max-disc", "60")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_60_SHA256
+    code, out, err = run(capsys, "dim", "--disc", "33", "--weight", "-2")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == DIM_33_SHA256
 
 
 def test_calls_in_one_process_share_no_state(capsys, tmp_path):

@@ -36,7 +36,7 @@ def test_d5_edges_pinned():
 def test_no_edges_iff_even_square():
     # the structural reason for the equality case dim = (w+1)*rF: only for an
     # even square does the gluing join no faces and impose no cycles
-    for disc in (d for d in range(1, 201) if d % 4 in (0, 1)):
+    for disc in (d for d in range(1, 401) if d % 4 in (0, 1)):
         even_square = disc % 2 == 0 and isqrt(disc) ** 2 == disc
         assert (_graph(disc).edges == ()) == even_square, disc
 

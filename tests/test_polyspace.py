@@ -24,7 +24,14 @@ from mlp import (
 )
 from mlp import polyspace
 from mlp.arrangement import OnExceptional
-from mlp.polyspace import OutOfDomain, check_weight, fixed_space, slash_matrix, solve_space
+from mlp.polyspace import (
+    OutOfDomain,
+    SlashMatrix,
+    check_weight,
+    fixed_space,
+    slash_matrix,
+    solve_space,
+)
 
 from _support import exceptional_points, modular_rank_dim, random_word
 
@@ -123,6 +130,75 @@ def test_fixed_space_normalization():
                 root_poly = min(elem.items())[1]
                 lead = next(c for c in root_poly if c)
                 assert lead == 1
+
+
+def _fraction_fixed_space(constraints, w):
+    """Joint fixed space by plain Gauss-Jordan over Fraction: the reference
+    the integer elimination in fixed_space must reproduce exactly."""
+    n = w + 1
+    rows = []
+    for m in constraints:
+        for i in range(n):
+            row = [m.mat[i][j] - (i == j) for j in range(n)]
+            if any(row):
+                rows.append([Fraction(e) for e in row])
+    if not rows:
+        return [tuple(Fraction(int(i == j)) for i in range(n)) for j in range(n)]
+    pivots = []
+    r = 0
+    for col in range(n):
+        hit = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if hit is None:
+            continue
+        rows[r], rows[hit] = rows[hit], rows[r]
+        rows[r] = [e / rows[r][col] for e in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                f = rows[i][col]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    basis = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [Fraction(0)] * n
+        v[free] = Fraction(1)
+        for ri, pc in enumerate(pivots):
+            v[pc] = -rows[ri][free]
+        lead = next(x for x in v if x)
+        basis.append(tuple(x / lead for x in v))
+    return basis
+
+
+def _low_rank_constraint(rng, w):
+    """I + A B for random integer A (n x r) and B (r x n): M - I has rank <= r."""
+    n = w + 1
+    r = rng.randint(0, n)
+    a = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(n)]
+    b = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+    mat = tuple(
+        tuple(int(i == j) + sum(a[i][t] * b[t][j] for t in range(r)) for j in range(n))
+        for i in range(n)
+    )
+    return SlashMatrix(mat, w)
+
+
+def test_fixed_space_matches_fraction_reference():
+    rng = random.Random(1968)
+    for _ in range(400):
+        w = rng.choice((0, 2, 4, 6, 8))
+        cons = [_low_rank_constraint(rng, w) for _ in range(rng.randint(1, 3))]
+        if rng.random() < 0.3:
+            cons.append(slash_matrix(random_word(rng), w))
+        assert fixed_space(cons, w) == _fraction_fixed_space(cons, w), cons
+    # the cycle words of every orbit the sweep meets, as solve_space passes them
+    for disc in [d for d in range(1, 151) if d % 4 in (0, 1)]:
+        orbits = orbits_and_cycles(build_gluing_graph(build_arrangement(disc)))
+        for k in (-2, -4, -12):
+            for orb in orbits:
+                cons = [slash_matrix(g, -k) for g in orb.cycles if g != IDENTITY]
+                assert fixed_space(cons, -k) == _fraction_fixed_space(cons, -k), (disc, k)
 
 
 def test_compute_space_d5_pinned_basis():
