@@ -24,9 +24,9 @@ q^2 * L, with L the lcm of the leading coefficients of all arcs, gives the
 integers -(a p^2 + b p q + c q^2) * (L / a) for arcs, (q^2 - p^2) * L for the
 unit circle and ycap^2 * q^2 * L for the cap. One L serves every column, so
 values of different columns at the same x compare directly. Where a
-boundary changes the column, the changed window of cells on either side
-partitions the same height range, so one linear merge finds every pair of
-overlapping cells.
+boundary changes the column, the changed windows on its two sides hold the
+same heights there (arcs that end or start do so on the floor), so their
+cells of positive length are the same intervals in the same order.
 """
 
 from __future__ import annotations
@@ -113,16 +113,6 @@ class OnExceptional:
     faces: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class BoundarySegments:
-    left: tuple[WallSegment, ...]
-    right: tuple[WallSegment, ...]
-    bottom: tuple[BottomSegment, ...]
-    left_wall_in_e: bool
-    right_wall_in_e: bool
-    bottom_in_e: bool
-
-
 class FaceComplex:
     """Faces of the capped domain cut by the geodesics of one discriminant."""
 
@@ -185,8 +175,8 @@ class FaceComplex:
             apex = Fraction(-arc.b, 2 * arc.a)
             if arc.lo < apex < arc.hi:
                 crit.add(apex)
-        # two arcs cross at x = num/det; with det > 0, lo <= x <= hi is
-        # lo.n * det <= num * lo.d and num * hi.d <= hi.n * det
+        # two arcs cross at x = num/det; with det > 0, lo < x < hi is
+        # lo.n * det < num * lo.d and num * hi.d < hi.n * det
         ends = [
             (arc.a, arc.b, arc.c, arc.lo.numerator, arc.lo.denominator,
              arc.hi.numerator, arc.hi.denominator)
@@ -201,8 +191,9 @@ class FaceComplex:
                 num = a2 * c1 - a1 * c2
                 if det < 0:
                     det, num = -det, -num
-                if (ln1 * det <= num * ld1 and num * hd1 <= hn1 * det
-                        and ln2 * det <= num * ld2 and num * hd2 <= hn2 * det):
+                # a crossing at an arc's end is already critical as that end
+                if (ln1 * det < num * ld1 and num * hd1 < hn1 * det
+                        and ln2 * det < num * ld2 and num * hd2 < hn2 * det):
                     crossings.append((Fraction(num, det), i, j))
         crit.update(x for x, _, _ in crossings)
 
@@ -210,19 +201,13 @@ class FaceComplex:
         pos = {x: i for i, x in enumerate(xs)}
         starts: dict[int, list[int]] = {}
         stops: dict[int, int] = {}
-        span = []
         for k, arc in enumerate(arcs):
             lo, hi = pos[arc.lo], pos[arc.hi]
             starts.setdefault(lo, []).append(k)
             stops[hi] = stops.get(hi, 0) + 1
-            span.append((lo, hi))
         through: dict[int, set[int]] = {}
         for x, i, j in crossings:
-            b = pos[x]
-            # a crossing at an arc's end lies on the unit circle, where both
-            # arcs end or start: the column's bottom handles it
-            if span[i][0] < b < span[i][1] and span[j][0] < b < span[j][1]:
-                through.setdefault(b, set()).update((i, j))
+            through.setdefault(pos[x], set()).update((i, j))
         return starts, stops, through, {pos[v.x] for v in self.vlines}
 
     def _heights(self, entries: Sequence[int], p: int, q: int) -> list[int]:
@@ -261,6 +246,10 @@ class FaceComplex:
             last.extend([nslab - 1] * (hi - lo + 1))
             parent.extend(range(len(parent), len(runs)))
             return list(range(len(runs) - 1, len(runs) - 2 - hi + lo, -1))
+
+        def opened(rs: list[int], vals: list[int]) -> list[int]:
+            """The runs rs of cells of positive length; vals are entry heights."""
+            return [r for r, lo, hi in zip(rs, vals, vals[1:]) if lo < hi]
 
         # col is the column bottom to top, FLOOR to CAP; arc k is col[where[k] - base],
         # so dropping or inserting at the bottom moves base, not every arc
@@ -327,20 +316,12 @@ class FaceComplex:
                         fresh = open_runs(lo_r, c1 + s, b)
                         cells[lo_l:c1 + e + 1] = fresh
                         rv = heights(col[lo_r:c1 + s + 2], p, q)
-                        # both windows partition one height range: walk them
-                        # together, joining runs whose open intervals overlap
-                        # (a pinched cell overlaps nothing), and step past the
-                        # lower top. Ties step k, so l stops at the shared top.
-                        k = l = 0
-                        while k < len(lv) - 1:
-                            if max(lv[k], rv[l]) < min(lv[k + 1], rv[l + 1]):
-                                ri, rj = find(ended[k]), find(fresh[l])
-                                if ri != rj:
-                                    parent[rj] = ri
-                            if rv[l + 1] < lv[k + 1]:
-                                l += 1
-                            else:
-                                k += 1
+                        # both windows hold the same heights at xb, so their
+                        # open cells are the same intervals in the same order
+                        for rl, rr in zip(opened(ended, lv), opened(fresh, rv), strict=True):
+                            ri, rj = find(rl), find(rr)
+                            if ri != rj:
+                                parent[rj] = ri
                         for r in ended:
                             last[r] = b - 1
             self._base.append(base)
@@ -389,18 +370,11 @@ class FaceComplex:
         if self.bottom_in_e:
             self.bottom_segments: tuple[BottomSegment, ...] = ()
         else:
-            # arc endpoints on the unit circle, where a(x^2+y^2) + bx + c = 0
-            # reduces to a + bx + c = 0
-            touch = {
-                e
-                for arc in self.arcs
-                for e in (arc.lo, arc.hi)
-                if (arc.a + arc.c) * e.denominator + arc.b * e.numerator == 0
-            }
-            breaks = sorted({-HALF, HALF, Fraction(0)} | touch | {v.x for v in self.vlines})
-            # arcs leave and join the floor only at touch points and only a
-            # vertical line cuts it, so between breaks the floor cell keeps
-            # its face
+            # an arc ends on a wall or on the unit circle, so arcs leave and
+            # join the floor only at arc ends, and only a vertical line cuts
+            # it: between breaks the floor cell keeps its face
+            ends = {e for arc in self.arcs for e in (arc.lo, arc.hi)}
+            breaks = sorted({-HALF, HALF, Fraction(0)} | ends | {v.x for v in self.vlines})
             self.bottom_segments = tuple(
                 BottomSegment(xa, xb, self._face[bottom[bisect_left(self.xs, xa)]])
                 for xa, xb in zip(breaks, breaks[1:])
@@ -449,16 +423,6 @@ class FaceComplex:
 
     def cusp_face_count(self) -> int:
         return len(self.cusp_faces)
-
-    def boundary_segments(self) -> BoundarySegments:
-        return BoundarySegments(
-            self.left_segments,
-            self.right_segments,
-            self.bottom_segments,
-            self.left_wall_in_e,
-            self.right_wall_in_e,
-            self.bottom_in_e,
-        )
 
     def locate(self, p: AlgebraicPoint) -> Union[int, OnExceptional]:
         """Face containing p, or the adjacent faces when p is on a geodesic.

@@ -154,7 +154,7 @@ def cmd_faces(args: argparse.Namespace) -> int:
     return 0
 
 
-def _sweep_task(task: tuple[int, tuple[int, ...], bool]) -> tuple[int, list[str], list[str]]:
+def _sweep_task(task: tuple[int, tuple[int, ...], bool]) -> tuple[list[str], list[str]]:
     disc, weights, augmented = task
     fc = build_arrangement(disc)
     graph = build_gluing_graph(fc)
@@ -167,7 +167,7 @@ def _sweep_task(task: tuple[int, tuple[int, ...], bool]) -> tuple[int, list[str]
         f" bound={s.bound} evenSquare={even_sq}"
         for s in spaces
     ]
-    return disc, lines, check_laws(fc, orbits, spaces)
+    return lines, check_laws(fc, orbits, spaces)
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -184,9 +184,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             results = list(pool.map(_sweep_task, tasks))
     else:
         results = [_sweep_task(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
     all_fails: list[str] = []
-    for _, lines, fails in results:
+    for lines, fails in results:
         for line in lines:
             print(line)
         all_fails.extend(fails)

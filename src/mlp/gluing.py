@@ -6,6 +6,10 @@ the matching condition "P_src = P_dst slashed by gen" along one identified
 boundary segment. Orbits of the resulting graph carry transport words, and
 each independent non-tree edge yields one cocycle constraint on the orbit
 root's polynomial.
+
+A wall or floor on a geodesic has no segments. The walls must carry the same
+spans and each bottom segment its mirror, else GluingMismatch: the only check
+of the sweep's boundary.
 """
 
 from __future__ import annotations
@@ -43,21 +47,19 @@ def build_gluing_graph(fc: FaceComplex) -> GluingGraph:
     mirror pair (S is an involution, so one direction suffices).
     """
     edges: list[GluingEdge] = []
-    if not fc.left_wall_in_e and not fc.right_wall_in_e:
-        left, right = fc.left_segments, fc.right_segments
-        if [(s.s_lo, s.s_hi) for s in left] != [(s.s_lo, s.s_hi) for s in right]:
-            raise GluingMismatch(f"wall segments differ for disc {fc.disc}")
-        for ls, rs in zip(left, right):
-            edges.append(GluingEdge(ls.face, rs.face, T, ("wall", ls.s_lo, ls.s_hi)))
-    if not fc.bottom_in_e:
-        by_span = {(seg.x_lo, seg.x_hi): seg for seg in fc.bottom_segments}
-        for seg in fc.bottom_segments:
-            if seg.x_hi > 0:
-                continue
-            mirror = by_span.get((-seg.x_hi, -seg.x_lo))
-            if mirror is None:
-                raise GluingMismatch(f"bottom segment {seg} has no mirror, disc {fc.disc}")
-            edges.append(GluingEdge(seg.face, mirror.face, S, ("bottom", seg.x_lo, seg.x_hi)))
+    left, right = fc.left_segments, fc.right_segments
+    if [(s.s_lo, s.s_hi) for s in left] != [(s.s_lo, s.s_hi) for s in right]:
+        raise GluingMismatch(f"wall segments differ for disc {fc.disc}")
+    for ls, rs in zip(left, right):
+        edges.append(GluingEdge(ls.face, rs.face, T, ("wall", ls.s_lo, ls.s_hi)))
+    by_span = {(seg.x_lo, seg.x_hi): seg for seg in fc.bottom_segments}
+    for seg in fc.bottom_segments:
+        if seg.x_hi > 0:
+            continue
+        mirror = by_span.get((-seg.x_hi, -seg.x_lo))
+        if mirror is None:
+            raise GluingMismatch(f"bottom segment {seg} has no mirror, disc {fc.disc}")
+        edges.append(GluingEdge(seg.face, mirror.face, S, ("bottom", seg.x_lo, seg.x_hi)))
     return GluingGraph(fc.face_count(), tuple(edges))
 
 

@@ -166,9 +166,10 @@ class LocalPolySpace:
     graph: GluingGraph
     orbits: tuple[Orbit, ...]
     dim: int
-    # per orbit (per face when augmented), the vectors its root polynomial
-    # may take; cycle-free entries share one standard basis
-    roots: tuple[list[tuple[Fraction, ...]], ...] = field(repr=False, compare=False)
+    # per orbit (per face when augmented), its transport words and the
+    # vectors its root polynomial may take; cycle-free entries share one
+    # standard basis
+    roots: tuple[tuple[dict[int, Mat2], list], ...] = field(repr=False, compare=False)
     # the slash matrix of every non-identity word the transport reads
     slash: dict[Mat2, SlashMatrix] = field(repr=False, compare=False)
 
@@ -179,17 +180,11 @@ class LocalPolySpace:
 
     @cached_property
     def basis(self) -> tuple[dict[int, tuple[Fraction, ...]], ...]:
-        if self.augmented:
-            return tuple({f: u} for f, units in enumerate(self.roots) for u in units)
         basis: list[dict[int, tuple[Fraction, ...]]] = []
-        for orb, vecs in zip(self.orbits, self.roots):
-            if not vecs:
-                continue
-            # a face reached by the identity word carries the root vector as is
-            transport = [
-                (f, None if orb.words[f] == IDENTITY else self.slash[orb.words[f]])
-                for f in orb.faces
-            ]
+        for words, vecs in self.roots:
+            # slash holds every word of an orbit with vectors but never the
+            # identity, whose face carries the root vector as is
+            transport = [(f, self.slash.get(g)) for f, g in words.items()]
             for v in vecs:
                 basis.append({f: v if m is None else m.apply(v) for f, m in transport})
         return tuple(basis)
@@ -216,7 +211,7 @@ def solve_space(
     mats: dict[Mat2, SlashMatrix] = {}
     if augmented:
         # no matching conditions at all: monomials on every face
-        roots = (units,) * fc.face_count()
+        roots = tuple(({f: IDENTITY}, units) for f in range(fc.face_count()))
     else:
 
         def slash(g: Mat2) -> SlashMatrix:
@@ -225,7 +220,7 @@ def solve_space(
                 m = mats[g] = slash_matrix(g, w)
             return m
 
-        fixed: list[list[tuple[Fraction, ...]]] = []
+        fixed: list[tuple[dict[int, Mat2], list]] = []
         for orb in orbits:
             cycles = [slash(g) for g in orb.cycles if g != IDENTITY]
             vecs = fixed_space(cycles, w) if cycles else units
@@ -235,9 +230,9 @@ def solve_space(
                 for g in orb.words.values():
                     if g != IDENTITY:
                         slash(g)
-            fixed.append(vecs)
+            fixed.append((orb.words, vecs))
         roots = tuple(fixed)
-    dim = sum(map(len, roots))
+    dim = sum(len(vecs) for _, vecs in roots)
     return LocalPolySpace(fc.disc, k, w, augmented, fc, graph, orbits, dim, roots, mats)
 
 

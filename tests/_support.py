@@ -258,16 +258,15 @@ def arrangement_digest(max_disc: int) -> str:
         if d % 4 not in (0, 1):
             continue
         fc = build_arrangement(d)
-        b = fc.boundary_segments()
         h.update(repr((
             d,
             [list(r) for r in fc.face_of],
             [(f.index, str(f.sample.x), str(f.sample.s), f.is_cusp) for f in fc.faces],
-            [(str(s.s_lo), str(s.s_hi), s.face) for s in b.left],
-            [(str(s.s_lo), str(s.s_hi), s.face) for s in b.right],
-            [(str(s.x_lo), str(s.x_hi), s.face) for s in b.bottom],
-            b.left_wall_in_e,
-            b.right_wall_in_e,
-            b.bottom_in_e,
+            [(str(s.s_lo), str(s.s_hi), s.face) for s in fc.left_segments],
+            [(str(s.s_lo), str(s.s_hi), s.face) for s in fc.right_segments],
+            [(str(s.x_lo), str(s.x_hi), s.face) for s in fc.bottom_segments],
+            fc.left_wall_in_e,
+            fc.right_wall_in_e,
+            fc.bottom_in_e,
         )).encode())
     return h.hexdigest()

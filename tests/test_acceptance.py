@@ -164,13 +164,12 @@ def test_criterion_7_property_suites():
 
     for disc in ALL_DISCS:
         fc = build_arrangement(disc)
-        b = fc.boundary_segments()
         # wall/bottom segment symmetry
-        assert [(s_.s_lo, s_.s_hi) for s_ in b.left] == [
-            (s_.s_lo, s_.s_hi) for s_ in b.right
+        assert [(s_.s_lo, s_.s_hi) for s_ in fc.left_segments] == [
+            (s_.s_lo, s_.s_hi) for s_ in fc.right_segments
         ]
-        assert sorted((-s_.x_hi, -s_.x_lo) for s_ in b.bottom) == sorted(
-            (s_.x_lo, s_.x_hi) for s_ in b.bottom
+        assert sorted((-s_.x_hi, -s_.x_lo) for s_ in fc.bottom_segments) == sorted(
+            (s_.x_lo, s_.x_hi) for s_ in fc.bottom_segments
         )
         # Euler relation on the cell decomposition
         v, e = euler_counts(fc)
@@ -179,8 +178,9 @@ def test_criterion_7_property_suites():
         tall = build_arrangement(disc, ycap=2 * fc.ycap)
         assert tall.face_count() == fc.face_count()
         assert tall.cusp_face_count() == fc.cusp_face_count()
-        tb = tall.boundary_segments()
-        assert tb.left == b.left and tb.right == b.right and tb.bottom == b.bottom
+        assert tall.left_segments == fc.left_segments
+        assert tall.right_segments == fc.right_segments
+        assert tall.bottom_segments == fc.bottom_segments
 
     # boundary averaging at 20 exceptional points per discriminant
     for disc in [d for d in range(1, 21) if d % 4 in (0, 1)]:

@@ -102,44 +102,48 @@ def test_locate_rejects_points_outside_region():
 
 
 def test_d5_boundary_segments():
-    b = build_arrangement(5).boundary_segments()
-    assert [(s.s_lo, s.s_hi, s.face) for s in b.left] == [
+    fc = build_arrangement(5)
+    assert [(s.s_lo, s.s_hi, s.face) for s in fc.left_segments] == [
         (Fraction(3, 4), Fraction(5, 4), 1),
         (Fraction(5, 4), None, 0),
     ]
-    assert [(s.s_lo, s.s_hi, s.face) for s in b.right] == [
+    assert [(s.s_lo, s.s_hi, s.face) for s in fc.right_segments] == [
         (Fraction(3, 4), Fraction(5, 4), 2),
         (Fraction(5, 4), None, 0),
     ]
-    assert [(s.x_lo, s.x_hi, s.face) for s in b.bottom] == [
+    assert [(s.x_lo, s.x_hi, s.face) for s in fc.bottom_segments] == [
         (-HALF, Fraction(0), 1),
         (Fraction(0), HALF, 2),
     ]
-    assert not (b.left_wall_in_e or b.right_wall_in_e or b.bottom_in_e)
+    assert not (fc.left_wall_in_e or fc.right_wall_in_e or fc.bottom_in_e)
 
 
 def test_d4_boundary_coincides_with_geodesics():
-    b = build_arrangement(4).boundary_segments()
-    assert b.left == () and b.right == () and b.bottom == ()
-    assert b.left_wall_in_e and b.right_wall_in_e and b.bottom_in_e
+    fc = build_arrangement(4)
+    assert fc.left_segments == () and fc.right_segments == () and fc.bottom_segments == ()
+    assert fc.left_wall_in_e and fc.right_wall_in_e and fc.bottom_in_e
 
 
 def test_d8_wall_split_at_triple_point():
     # [1,0,-2] and [1,2,-1] both cross the left wall at s = 7/4
-    b = build_arrangement(8).boundary_segments()
-    assert [(s.s_lo, s.s_hi) for s in b.left] == [
+    fc = build_arrangement(8)
+    assert [(s.s_lo, s.s_hi) for s in fc.left_segments] == [
         (Fraction(3, 4), Fraction(7, 4)),
         (Fraction(7, 4), None),
     ]
-    assert [(s.x_lo, s.x_hi) for s in b.bottom] == [(-HALF, Fraction(0)), (Fraction(0), HALF)]
+    assert [(s.x_lo, s.x_hi) for s in fc.bottom_segments] == [
+        (-HALF, Fraction(0)),
+        (Fraction(0), HALF),
+    ]
 
 
 def test_wall_and_bottom_symmetry():
     for disc in ALL_DISCS:
-        b = build_arrangement(disc).boundary_segments()
-        assert [(s.s_lo, s.s_hi) for s in b.left] == [(s.s_lo, s.s_hi) for s in b.right]
-        mirrored = sorted((-s.x_hi, -s.x_lo) for s in b.bottom)
-        assert mirrored == sorted((s.x_lo, s.x_hi) for s in b.bottom)
+        fc = build_arrangement(disc)
+        left, right, bottom = fc.left_segments, fc.right_segments, fc.bottom_segments
+        assert [(s.s_lo, s.s_hi) for s in left] == [(s.s_lo, s.s_hi) for s in right]
+        mirrored = sorted((-s.x_hi, -s.x_lo) for s in bottom)
+        assert mirrored == sorted((s.x_lo, s.x_hi) for s in bottom)
 
 
 def test_euler_relation():
@@ -155,8 +159,9 @@ def test_cap_doubling_changes_nothing():
         tall = build_arrangement(disc, ycap=2 * base.ycap)
         assert tall.face_count() == base.face_count()
         assert tall.cusp_face_count() == base.cusp_face_count()
-        bb, tb = base.boundary_segments(), tall.boundary_segments()
-        assert bb.left == tb.left and bb.right == tb.right and bb.bottom == tb.bottom
+        assert tall.left_segments == base.left_segments
+        assert tall.right_segments == base.right_segments
+        assert tall.bottom_segments == base.bottom_segments
 
 
 def test_stack_heights_sorted_and_distinct():

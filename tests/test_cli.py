@@ -193,6 +193,24 @@ def test_faces_svg(capsys, tmp_path):
     assert sorted(t.text for t in labels) == ["0", "1", "2"]
 
 
+def test_faces_svg_vertical_lines(capsys, tmp_path):
+    # D = 9 has the vertical geodesics x = -1/3, 0, 1/3, each drawn foot to cap
+    svg_path = tmp_path / "d9.svg"
+    code, _, _ = run(capsys, "faces", "--disc", "9", "--svg", str(svg_path))
+    assert code == 0
+    paths = ET.parse(svg_path).getroot().findall("{http://www.w3.org/2000/svg}path")
+    geodesics = [p.get("d").split() for p in paths if p.get("stroke") == "crimson"]
+    lines = [d for d in geodesics if d[3] == "L"]
+    assert len(lines) == 3
+    assert all(d[0] == "M" and d[1] == d[4] and d[2] != d[5] for d in lines)
+    # the cap's y, 0.1 below the picture's top edge
+    ycap = build_arrangement(9).ycap
+    cap = format((ycap + 0.1 - ycap) * 360.0, ".12g")
+    assert all(d[5] == cap for d in lines)
+    xs = {format((x - (-0.6)) * 360.0, ".12g") for x in (-1 / 3, 0.0, 1 / 3)}
+    assert {d[1] for d in lines} == xs
+
+
 def test_faces_svg_precision(capsys, tmp_path):
     lo = tmp_path / "lo.svg"
     hi = tmp_path / "hi.svg"
@@ -400,6 +418,9 @@ def test_sweep_rejects_bad_weights(capsys):
     code, _, err = run(capsys, "sweep", "--max-disc", "12", "--weights", "0,-3")
     assert code == 3
     assert "invalid weight" in err
+    code, _, err = run(capsys, "sweep", "--max-disc", "12", "--weights", "a,b")
+    assert code == 3
+    assert "cannot parse weight list" in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])

@@ -4,6 +4,8 @@ import random
 from fractions import Fraction
 from math import isqrt
 
+import pytest
+
 from mlp import (
     IDENTITY,
     S,
@@ -14,6 +16,7 @@ from mlp import (
     build_gluing_graph,
     orbits_and_cycles,
 )
+from mlp.gluing import GluingMismatch
 from mlp.polyspace import fixed_space, slash_matrix
 
 HALF = Fraction(1, 2)
@@ -64,11 +67,22 @@ def test_wall_edges_pair_heights_exactly():
     for disc in (5, 8, 9, 12, 13, 17, 20, 100):
         fc = build_arrangement(disc)
         graph = build_gluing_graph(fc)
-        b = fc.boundary_segments()
         wall_edges = [e for e in graph.edges if e.segment[0] == "wall"]
-        assert len(wall_edges) == len(b.left)
-        spans = sorted((s.s_lo, s.s_hi) for s in b.left)
+        assert len(wall_edges) == len(fc.left_segments)
+        spans = sorted((s.s_lo, s.s_hi) for s in fc.left_segments)
         assert sorted(e.segment[1:] for e in wall_edges) == spans
+
+
+@pytest.mark.parametrize(
+    "side, message",
+    [("right_segments", "wall segments differ"), ("bottom_segments", "has no mirror")],
+)
+def test_gluing_rejects_unpaired_boundary(side, message):
+    # the sweep's boundary is checked only here: drop one segment of a side
+    fc = build_arrangement(5)
+    setattr(fc, side, getattr(fc, side)[:-1])
+    with pytest.raises(GluingMismatch, match=message):
+        build_gluing_graph(fc)
 
 
 def test_orbit_words_start_at_root():

@@ -420,6 +420,8 @@ def test_evaluate_is_modular():
             )
             for idx in range(space.dim):
                 assert evaluate(space, idx, p) == jay**w * evaluate(space, idx, q)
+                # a point may also be passed as its pair (x, s)
+                assert evaluate(space, idx, (p.x, p.s)) == evaluate(space, idx, p)
 
 
 def test_evaluate_averages_on_exceptional_set():
