@@ -175,6 +175,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         weights = tuple(int(tok) for tok in args.weights.split(",") if tok.strip())
     except ValueError:
         raise InvalidWeight(f"cannot parse weight list {args.weights!r}")
+    if not weights:
+        raise InvalidWeight("empty weight list")
     for k in weights:
         check_weight(k)
     discs = [d for d in range(1, args.max_disc + 1) if d % 4 in (0, 1)]
@@ -238,7 +240,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_faces)
 
     p = sub.add_parser("sweep", help="verify the dimension laws over a range")
-    p.add_argument("--max-disc", type=int, required=True)
+    p.add_argument("--max-disc", type=_positive_int, required=True)
     p.add_argument("--weights", default="0,-2,-4")
     p.add_argument("--jobs", type=_positive_int, default=1)
     p.add_argument("--augmented", action="store_true")

@@ -421,6 +421,11 @@ def test_sweep_rejects_bad_weights(capsys):
     code, _, err = run(capsys, "sweep", "--max-disc", "12", "--weights", "a,b")
     assert code == 3
     assert "cannot parse weight list" in err
+    # a sweep over no weight checks nothing, so it may not report "ok"
+    for weights in ("", " , "):
+        code, out, err = run(capsys, "sweep", "--max-disc", "5", "--weights", weights)
+        assert code == 3 and out == ""
+        assert "empty weight list" in err
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -430,6 +435,17 @@ def test_sweep_rejects_nonpositive_jobs(capsys, jobs):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "--jobs" in err
+
+
+@pytest.mark.parametrize("max_disc", ["0", "-2"])
+def test_sweep_rejects_nonpositive_max_disc(capsys, max_disc):
+    # a sweep over no discriminant checks nothing, so it may not report "ok"
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--max-disc", max_disc])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "usage:" in captured.err and "--max-disc" in captured.err
 
 
 def test_version_flag(capsys):

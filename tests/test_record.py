@@ -7,7 +7,15 @@ from fractions import Fraction
 
 import pytest
 
-from mlp import __version__, compute_space
+import mlp.record
+from mlp import (
+    __version__,
+    build_arrangement,
+    build_gluing_graph,
+    compute_space,
+    orbits_and_cycles,
+    solve_space,
+)
 from mlp.record import ResultRecord, frac_str, render_poly
 
 
@@ -140,3 +148,50 @@ def test_render_poly_matches_fraction_reference(disc, k, augmented):
     for elem, strings in zip(space.basis, rec["basis"], strict=True):
         for face, coeffs in elem.items():
             assert render_poly(strings[str(face)]) == _render_fractions(coeffs)
+
+
+def _records():
+    """Every valid D <= 150 at k in {0, -2, -4, -8, -12}, and augmented at
+    k in {0, -2}."""
+    for disc in [d for d in range(1, 151) if d % 4 in (0, 1)]:
+        fc = build_arrangement(disc)
+        graph = build_gluing_graph(fc)
+        orbits = orbits_and_cycles(graph)
+        for k, aug in [(k, False) for k in (0, -2, -4, -8, -12)] + [(0, True), (-2, True)]:
+            yield ResultRecord.from_space(solve_space(fc, graph, k, augmented=aug, orbits=orbits))
+
+
+def test_to_json_equals_json_dumps():
+    # json.dumps(indent=2) is the layout the direct writer must reproduce
+    def check(rec):
+        text = rec.to_json()
+        assert text == json.dumps(rec, indent=2) + "\n", (rec["D"], rec["k"])
+        return text
+
+    count = 0
+    for rec in _records():
+        again = ResultRecord.from_json(check(rec))
+        assert check(again) == rec.to_json()
+        count += 1
+    assert count == 7 * 75
+    empty = {"D": 5, "k": 0, "forms": [], "rF": 0, "cuspFaces": 0, "orbitCount": 0, "dim": 0}
+    flags = {"evenSquare": True, "augmented": False}
+    for basis in ([], [{}], [{"0": []}, {"3": ["-1/2"], "12": ["0/1", "7/3"]}]):
+        check(ResultRecord(empty, basis=basis, flags=flags, toolVersion=__version__))
+        check(ResultRecord(empty, basis=basis, flags={}, toolVersion="é\"1"))
+
+
+def test_from_space_spells_each_vector_once(monkeypatch):
+    space = compute_space(144, -12)
+    vectors = {id(vec) for elem in space.basis for vec in elem.values()}
+    calls = 0
+    real = mlp.record.frac_str
+
+    def counting(f):
+        nonlocal calls
+        calls += 1
+        return real(f)
+
+    monkeypatch.setattr(mlp.record, "frac_str", counting)
+    ResultRecord.from_space(space)
+    assert calls <= (space.w + 1) * len(vectors)

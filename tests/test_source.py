@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import inspect
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mlp"
@@ -19,3 +21,32 @@ def test_no_assert_in_library():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _traced_locations() -> list[str]:
+    """The `module:attr.path` names the benchmark's tracer wraps, read from
+    the PATCHES table in benchmark/spans.py."""
+    tree = ast.parse((SRC.parent.parent / "benchmark" / "spans.py").read_text(encoding="utf-8"))
+    table = next(
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "PATCHES" for t in node.targets)
+    )
+    return [loc.value for entry in table.values for loc in entry.elts[0].elts]
+
+
+def test_tracer_locations_are_bound():
+    # a refactor that moves a traced function would lose its span silently
+    locations = _traced_locations()
+    assert "record:ResultRecord.to_json" in locations
+    missing = []
+    for loc in locations:
+        mod_name, _, path = loc.partition(":")
+        owner = importlib.import_module(f"mlp.{mod_name}")
+        try:
+            for part in path.split("."):
+                owner = inspect.getattr_static(owner, part)
+        except AttributeError:
+            missing.append(loc)
+    assert missing == []
