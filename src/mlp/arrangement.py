@@ -27,6 +27,14 @@ values of different columns at the same x compare directly. Where a
 boundary changes the column, the changed windows on its two sides hold the
 same heights there (arcs that end or start do so on the floor), so their
 cells of positive length are the same intervals in the same order.
+
+Abscissae are keyed by integers. Every critical abscissa is p/q with
+integers q > 0: the walls and 0, arc ends -(a+c)/b, apexes -b/2a, crossings
+num/det and vertical lines -c/b. With qmax the largest q, two distinct ones
+differ by at least 1/qmax^2, so for 2^K > qmax^2 the key floor(p * 2^K / q)
+separates them and keeps their order, and equal values share one key
+whatever their p and q. The sweep sorts, deduplicates and indexes abscissae
+by that key alone and builds one Fraction per distinct abscissa, for xs.
 """
 
 from __future__ import annotations
@@ -163,25 +171,18 @@ class FaceComplex:
     # -- construction -------------------------------------------------
 
     def _events(self) -> tuple[dict[int, list[int]], dict[int, int], dict[int, set[int]], set]:
-        """Set xs, the sorted critical abscissae, and return what happens at
-        each position of xs: the arcs that start there, how many end there,
-        the arcs that cross there while running through it, and the
-        positions of the vertical lines."""
+        """Set xs, the sorted critical abscissae, and the position of x = 0
+        in it; return what happens at each position of xs: the arcs that
+        start there, how many end there, the arcs that cross there while
+        running through it, and the positions of the vertical lines."""
         arcs = self.arcs
-        crit = {-HALF, HALF, Fraction(0)} | {v.x for v in self.vlines}
-        for arc in arcs:
-            crit.add(arc.lo)
-            crit.add(arc.hi)
-            apex = Fraction(-arc.b, 2 * arc.a)
-            if arc.lo < apex < arc.hi:
-                crit.add(apex)
-        # two arcs cross at x = num/det; with det > 0, lo < x < hi is
-        # lo.n * det < num * lo.d and num * hi.d < hi.n * det
         ends = [
             (arc.a, arc.b, arc.c, arc.lo.numerator, arc.lo.denominator,
              arc.hi.numerator, arc.hi.denominator)
             for arc in arcs
         ]
+        # two arcs cross at x = num/det; with det > 0, lo < x < hi is
+        # lo.n * det < num * lo.d and num * hi.d < hi.n * det
         crossings = []
         for i, (a1, b1, c1, ln1, ld1, hn1, hd1) in enumerate(ends):
             for j, (a2, b2, c2, ln2, ld2, hn2, hd2) in enumerate(ends[i + 1:], i + 1):
@@ -194,21 +195,46 @@ class FaceComplex:
                 # a crossing at an arc's end is already critical as that end
                 if (ln1 * det < num * ld1 and num * hd1 < hn1 * det
                         and ln2 * det < num * ld2 and num * hd2 < hn2 * det):
-                    crossings.append((Fraction(num, det), i, j))
-        crit.update(x for x, _, _ in crossings)
+                    crossings.append((num, det, i, j))
+        vxs = [(v.x.numerator, v.x.denominator) for v in self.vlines]
+        qmax = max(2, *(q for _, q in vxs), *(det for _, det, _, _ in crossings),
+                   *(max(ld, hd, 2 * a) for a, _, _, _, ld, _, hd in ends))
+        # every abscissa is p/q with 0 < q <= qmax: its key is
+        # (p << shift) // q, exact and in order (see the module docstring)
+        shift = 2 * qmax.bit_length()
+        crit = {(-1 << shift) // 2: (-1, 2), (1 << shift) // 2: (1, 2), 0: (0, 1)}
+        vkeys = set()
+        for p, q in vxs:
+            key = (p << shift) // q
+            crit[key] = (p, q)
+            vkeys.add(key)
+        bounds = []
+        for a, b, _, ln, ld, hn, hd in ends:
+            lo, hi = (ln << shift) // ld, (hn << shift) // hd
+            crit[lo], crit[hi] = (ln, ld), (hn, hd)
+            bounds.append((lo, hi))
+            if ln * 2 * a < -b * ld and -b * hd < hn * 2 * a:  # lo < apex < hi
+                crit.setdefault((-b << shift) // (2 * a), (-b, 2 * a))
+        through_keys = []
+        for num, det, i, j in crossings:
+            key = (num << shift) // det
+            crit.setdefault(key, (num, det))
+            through_keys.append((key, i, j))
 
-        self.xs = xs = sorted(crit)
-        pos = {x: i for i, x in enumerate(xs)}
+        keys = sorted(crit)
+        self.xs = [Fraction(*crit[key]) for key in keys]
+        pos = {key: i for i, key in enumerate(keys)}
+        self._origin = pos[0]
         starts: dict[int, list[int]] = {}
         stops: dict[int, int] = {}
-        for k, arc in enumerate(arcs):
-            lo, hi = pos[arc.lo], pos[arc.hi]
+        for k, (lo, hi) in enumerate(bounds):
+            lo, hi = pos[lo], pos[hi]
             starts.setdefault(lo, []).append(k)
             stops[hi] = stops.get(hi, 0) + 1
         through: dict[int, set[int]] = {}
-        for x, i, j in crossings:
-            through.setdefault(pos[x], set()).update((i, j))
-        return starts, stops, through, {pos[v.x] for v in self.vlines}
+        for key, i, j in through_keys:
+            through.setdefault(pos[key], set()).update((i, j))
+        return starts, stops, through, {pos[key] for key in vkeys}
 
     def _heights(self, entries: Sequence[int], p: int, q: int) -> list[int]:
         """y^2 * q^2 * L of column entries (arcs, FLOOR, CAP) at x = p/q."""
@@ -216,9 +242,11 @@ class FaceComplex:
         coeffs = self._coeffs
         return [-(a * pp + b * pq + c * qq) * s for a, b, c, s in (coeffs[k] for k in entries)]
 
-    def _by_height(self, idxs: Sequence[int], m: Fraction) -> list[int]:
-        """Arcs idxs bottom to top at the abscissa m, where none meet."""
-        return [k for _, k in sorted(zip(self._heights(idxs, m.numerator, m.denominator), idxs))]
+    def _by_height(self, idxs: Sequence[int], x0: Fraction, x1: Fraction) -> list[int]:
+        """Arcs idxs bottom to top between consecutive abscissae x0 and x1,
+        where none meet: by height at their midpoint, an unreduced p/q."""
+        p0, q0, p1, q1 = x0.numerator, x0.denominator, x1.numerator, x1.denominator
+        return [k for _, k in sorted(zip(self._heights(idxs, p0 * q1 + p1 * q0, 2 * q0 * q1), idxs))]
 
     def _sweep(self, events) -> None:
         starts, stops, through, vertical = events
@@ -253,7 +281,7 @@ class FaceComplex:
 
         # col is the column bottom to top, FLOOR to CAP; arc k is col[where[k] - base],
         # so dropping or inserting at the bottom moves base, not every arc
-        col = [FLOOR, *self._by_height(starts.get(0, ()), (xs[0] + xs[1]) / 2), CAP]
+        col = [FLOOR, *self._by_height(starts.get(0, ()), xs[0], xs[1]), CAP]
         where = [0] * len(self.arcs)
         base = 0
         for i in range(1, len(col) - 1):
@@ -296,7 +324,7 @@ class FaceComplex:
                     for i in range(lo, hi + 1):
                         where[col[i]] = i + base
                 if new:
-                    new = self._by_height(new, (xb + xs[b + 1]) / 2)
+                    new = self._by_height(new, xb, xs[b + 1])
                     col[1:1] = new
                     base -= len(new)
                     for i, k in enumerate(new, 1):
@@ -343,7 +371,11 @@ class FaceComplex:
         self._runs, self._last = runs, last
         # the faces with a run under the cap: cusp membership without samples
         self.cusp_faces = frozenset(f for f, run in zip(self._face, runs) if run[3] == CAP)
-        self._build_boundary(left, (col, cells), bottom)
+        # the floor breaks at the walls, at x = 0 and wherever its face can
+        # change: an arc ends on a wall or on the unit circle, so arcs leave
+        # and join the floor only at arc ends, and only a vertical line cuts it
+        breaks = {0, nslab, self._origin, *starts, *stops, *vertical}
+        self._build_boundary(left, (col, cells), bottom, sorted(breaks))
 
     def _wall_segments(
         self, col: list[int], cells: list[int], x: Fraction
@@ -359,25 +391,22 @@ class FaceComplex:
 
     def _build_boundary(
         self, left: tuple[list[int], list[int]], right: tuple[list[int], list[int]],
-        bottom: list[int],
+        bottom: list[int], breaks: list[int],
     ) -> None:
-        """Wall segments from the first and the last column, bottom segments
-        from the floor run of each slab, given as (column, runs) and one run
-        per slab."""
+        """Wall segments from the first and the last column, given as (column,
+        runs); bottom segments from the floor run of each slab, one per slab,
+        between the floor's breaks, given as positions in xs."""
         self.left_segments = () if self.left_wall_in_e else self._wall_segments(*left, -HALF)
         self.right_segments = () if self.right_wall_in_e else self._wall_segments(*right, HALF)
 
         if self.bottom_in_e:
             self.bottom_segments: tuple[BottomSegment, ...] = ()
         else:
-            # an arc ends on a wall or on the unit circle, so arcs leave and
-            # join the floor only at arc ends, and only a vertical line cuts
-            # it: between breaks the floor cell keeps its face
-            ends = {e for arc in self.arcs for e in (arc.lo, arc.hi)}
-            breaks = sorted({-HALF, HALF, Fraction(0)} | ends | {v.x for v in self.vlines})
+            # between breaks the floor cell keeps its face
+            xs = self.xs
             self.bottom_segments = tuple(
-                BottomSegment(xa, xb, self._face[bottom[bisect_left(self.xs, xa)]])
-                for xa, xb in zip(breaks, breaks[1:])
+                BottomSegment(xs[i], xs[j], self._face[bottom[i]])
+                for i, j in zip(breaks, breaks[1:])
             )
 
     # -- queries --------------------------------------------------------

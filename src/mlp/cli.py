@@ -182,7 +182,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     discs = [d for d in range(1, args.max_disc + 1) if d % 4 in (0, 1)]
     tasks = [(d, weights, args.augmented) for d in discs]
     if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        # a pool forks every worker at its first submit
+        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             results = list(pool.map(_sweep_task, tasks))
     else:
         results = [_sweep_task(t) for t in tasks]

@@ -202,17 +202,19 @@ def semicircle_interval(q: QuadForm) -> Optional[tuple[Fraction, Fraction]]:
     """
     if q.a == 0:
         raise ValueError("semicircle_interval needs a form with a != 0")
-    lo, hi = -HALF, HALF
-    # |tau|^2 >= 1 along the circle reads a + c + b x <= 0 (using a > 0).
-    if q.b > 0:
-        hi = min(hi, Fraction(-(q.a + q.c), q.b))
-    elif q.b < 0:
-        lo = max(lo, Fraction(-(q.a + q.c), q.b))
-    elif q.a + q.c > 0:
+    # |tau|^2 >= 1 along the circle reads a + c + b x <= 0 (using a > 0): the
+    # whole strip or nothing when b = 0, else the side of x = -(a+c)/b, which
+    # holds more than a point of |x| <= 1/2 iff 2(a+c) < |b|; that end lies
+    # strictly inside iff -|b| < 2(a+c). Only an arc builds a Fraction.
+    b, s = q.b, 2 * (q.a + q.c)
+    if b == 0:
+        return (-HALF, HALF) if s <= 0 else None
+    if s >= abs(b):
         return None
-    if lo >= hi:
-        return None
-    return lo, hi
+    if s <= -abs(b):
+        return -HALF, HALF
+    end = Fraction(-(q.a + q.c), b)
+    return (-HALF, end) if b > 0 else (end, HALF)
 
 
 def enumerate_forms(disc: int) -> list[QuadForm]:

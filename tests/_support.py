@@ -21,6 +21,7 @@ import hashlib
 import random
 from fractions import Fraction
 from math import comb, isqrt
+from typing import Iterable
 
 from mlp import S, T, AlgebraicPoint, Mat2, build_arrangement, enumerate_forms
 
@@ -250,13 +251,12 @@ def modular_rank_dim(graph, k: int) -> int:
     return n * graph.n_faces - max(_rank_mod(rows, p) for p in RANK_PRIMES)
 
 
-def arrangement_digest(max_disc: int) -> str:
-    """sha256 over every valid D <= max_disc, in order, of the face of every
-    cell, each face's sample and cusp flag, and the boundary segments."""
+def arrangement_digest(max_disc: int = 0, discs: Iterable[int] = ()) -> str:
+    """sha256 over every valid D <= max_disc, in order, then over discs, of
+    the face of every cell, each face's sample and cusp flag, and the
+    boundary segments."""
     h = hashlib.sha256()
-    for d in range(1, max_disc + 1):
-        if d % 4 not in (0, 1):
-            continue
+    for d in [*(d for d in range(1, max_disc + 1) if d % 4 in (0, 1)), *discs]:
         fc = build_arrangement(d)
         h.update(repr((
             d,

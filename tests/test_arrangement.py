@@ -288,9 +288,10 @@ def _fraction_xs(fc) -> list[Fraction]:
 
 
 def test_crossings_match_fraction_reference(monkeypatch):
-    # only xs is compared, so the sweep over the slabs is skipped
+    # only xs is compared, so the sweep over the slabs is skipped; the large
+    # D have the largest denominators and abscissa keys
     monkeypatch.setattr(arrangement.FaceComplex, "_sweep", lambda self, events: None)
-    for disc in [d for d in range(1, 401) if d % 4 in (0, 1)]:
+    for disc in [d for d in range(1, 401) if d % 4 in (0, 1)] + [1201, 2001, 2500]:
         fc = build_arrangement(disc)
         assert fc.xs == _fraction_xs(fc), disc
 
@@ -302,3 +303,13 @@ ARRANGEMENT_200_SHA256 = "2b8f10c4d3c131e58076c1253d1ce4093d6a7115594da8015089bb
 
 def test_arrangement_digest_pinned():
     assert arrangement_digest(200) == ARRANGEMENT_200_SHA256
+
+
+# arrangement_digest(discs=LARGE_DISCS), taken before the abscissae were keyed
+# by integers: where denominators and keys are largest
+LARGE_DISCS = (1201, 2001, 2500, 3600)
+ARRANGEMENT_LARGE_SHA256 = "8cc18de24915ac4a37c0c095d39366b654b4bbccfce9e9a6ca6bf4b1624f2b14"
+
+
+def test_arrangement_digest_pinned_large():
+    assert arrangement_digest(discs=LARGE_DISCS) == ARRANGEMENT_LARGE_SHA256

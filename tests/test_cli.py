@@ -428,6 +428,36 @@ def test_sweep_rejects_bad_weights(capsys):
         assert "empty weight list" in err
 
 
+def test_sweep_starts_no_more_workers_than_tasks(capsys, monkeypatch):
+    # a pool forks all its workers at the first submit, so a sweep asks for
+    # one per discriminant at most, whatever --jobs says (D <= 4: 1 and 4;
+    # D <= 5: 1, 4 and 5); this executor runs the tasks in-process and
+    # starts no worker
+    asked = []
+
+    class InlineExecutor:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    for max_disc in ("4", "5"):
+        _, serial, _ = run(capsys, "sweep", "--max-disc", max_disc, "--weights", "0,-2")
+        code, out, _ = run(
+            capsys, "sweep", "--max-disc", max_disc, "--weights", "0,-2", "--jobs", "8"
+        )
+        assert code == 0 and out == serial
+    assert asked == [2, 3]
+
+
 @pytest.mark.parametrize("jobs", ["0", "-2"])
 def test_sweep_rejects_nonpositive_jobs(capsys, jobs):
     with pytest.raises(SystemExit) as exc:

@@ -200,6 +200,50 @@ def test_semicircle_interval_clipping():
     assert semicircle_interval(QuadForm(1, 2, 0)) is None
 
 
+def _fraction_interval(q: QuadForm):
+    """semicircle_interval clipped with Fraction min/max and compared as
+    Fractions: the wall at 1/2 against the end -(a+c)/b of |tau|^2 >= 1."""
+    lo, hi = -HALF, HALF
+    if q.b > 0:
+        hi = min(hi, Fraction(-(q.a + q.c), q.b))
+    elif q.b < 0:
+        lo = max(lo, Fraction(-(q.a + q.c), q.b))
+    elif q.a + q.c > 0:
+        return None
+    if lo >= hi:
+        return None
+    return lo, hi
+
+
+def test_semicircle_interval_matches_fraction_reference():
+    arcs = 0
+    for a in range(1, 25):
+        for b in range(-40, 41):
+            for c in range(-40, 41):
+                if b * b - 4 * a * c <= 0:
+                    continue
+                q = QuadForm(a, b, c)
+                got = semicircle_interval(q)
+                assert got == _fraction_interval(q), q
+                if got is not None:
+                    arcs += 1
+                    assert all(type(x) is Fraction for x in got), q
+    assert arcs > 0
+
+
+def test_semicircle_interval_edge_cases():
+    # corner tangency 2(a+c) = |b|: the arc meets the strip at one point
+    assert semicircle_interval(QuadForm(1, 4, 1)) is None
+    assert semicircle_interval(QuadForm(2, -6, 1)) is None
+    # the unit circle itself spans the strip
+    for a in (1, 3):
+        assert semicircle_interval(QuadForm(a, 0, -a)) == (-HALF, HALF)
+    # b = 0 with a + c > 0: a circle inside the unit disc
+    assert semicircle_interval(QuadForm(2, 0, -1)) is None
+    # an end exactly on a wall, 2(a+c) = -|b|: the whole strip
+    assert semicircle_interval(QuadForm(1, 2, -2)) == (-HALF, HALF)
+
+
 def test_mat2_basics():
     assert T @ S == Mat2(1, -1, 1, 0)
     assert T.inv() == Mat2(1, -1, 0, 1)

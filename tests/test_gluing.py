@@ -10,8 +10,10 @@ from mlp import (
     IDENTITY,
     S,
     T,
+    AlgebraicPoint,
     GluingGraph,
     Mat2,
+    apply_mobius,
     build_arrangement,
     build_gluing_graph,
     orbits_and_cycles,
@@ -71,6 +73,27 @@ def test_wall_edges_pair_heights_exactly():
         assert len(wall_edges) == len(fc.left_segments)
         spans = sorted((s.s_lo, s.s_hi) for s in fc.left_segments)
         assert sorted(e.segment[1:] for e in wall_edges) == spans
+
+
+def test_edges_map_into_their_destination_face():
+    # from outside the sweep: a point strictly inside each boundary segment,
+    # mapped by the edge's generator, lands in the face the edge names
+    for disc in (d for d in range(1, 201) if d % 4 in (0, 1)):
+        fc = build_arrangement(disc)
+        for e in build_gluing_graph(fc).edges:
+            kind, lo, hi = e.segment
+            if kind == "wall":
+                p = AlgebraicPoint(-HALF, lo + 1 if hi is None else (lo + hi) / 2)
+            else:
+                x = (lo + hi) / 2
+                p = AlgebraicPoint(x, 1 - x * x)
+            image = apply_mobius(e.gen, p)
+            if kind == "wall":
+                assert image.x == HALF and image.s == p.s
+            else:
+                assert image.x == -p.x and image.norm_sq() == 1
+            assert fc.locate(p) == e.src, (disc, e)
+            assert fc.locate(image) == e.dst, (disc, e)
 
 
 @pytest.mark.parametrize(
