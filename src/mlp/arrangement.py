@@ -14,19 +14,21 @@ event does (Bentley-Ottmann): arcs that end at a boundary end on the unit
 circle, so they leave from the bottom; arcs that start there enter at the
 bottom; arcs through one point cross there, so their adjacent group
 reverses. A run is a cell whose two neighbours stay the same across
-consecutive slabs; only the runs a change opens are merged with the runs it
-ends, and across a vertical geodesic no run continues and nothing merges.
-Faces are the classes of that union-find over runs.
+consecutive slabs, and only the runs a change ends and opens are compared.
+At a boundary the windows whose cells change hold the same heights on both
+sides: the arcs that end and the arcs that start there sit at the floor's
+height, a flipped group at one height. So their cells of positive length
+pair off in order, one to one, and each run a change opens continues the
+face of its partner or, if it has none, starts a face. Faces never merge:
+each is a chain of runs whose first is its least (first slab, -level) run.
+Across a vertical geodesic no run continues.
 
 Heights are compared as integers. At x = p/q the arc of [a, b, c] (a > 0)
 has y^2 = -(a p^2 + b p q + c q^2) / (a q^2), so scaling every height at x by
 q^2 * L, with L the lcm of the leading coefficients of all arcs, gives the
 integers -(a p^2 + b p q + c q^2) * (L / a) for arcs, (q^2 - p^2) * L for the
 unit circle and ycap^2 * q^2 * L for the cap. One L serves every column, so
-values of different columns at the same x compare directly. Where a
-boundary changes the column, the changed windows on its two sides hold the
-same heights there (arcs that end or start do so on the floor), so their
-cells of positive length are the same intervals in the same order.
+values of different columns at the same x compare directly.
 
 Abscissae are keyed by integers. Every critical abscissa is p/q with
 integers q > 0: the walls and 0, arc ends -(a+c)/b, apexes -b/2a, crossings
@@ -254,30 +256,27 @@ class FaceComplex:
         nslab = len(xs) - 1
         heights = self._heights
         # a run is (first slab, level there + base, entry below, entry above);
-        # last[r] is its last slab
+        # last[r] is its last slab, face[r] its face; first_run[f] is the
+        # run that opened face f
         runs: list[tuple[int, int, int, int]] = []
         last: list[int] = []
-        parent: list[int] = []
+        face: list[int] = []
+        first_run: list[int] = []
 
-        def find(i: int) -> int:
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def open_runs(lo: int, hi: int, si: int) -> list[int]:
+        def open_runs(lo: int, hi: int, si: int, cont: Sequence[Optional[int]] = ()) -> list[int]:
             """Runs for cells lo..hi of the column in slab si, numbered
             cap-down so that run order is (first slab, -level); returned
-            bottom-up."""
+            bottom-up. cont holds, per cell bottom-up, the face it continues,
+            or None for a new face, numbered in run order."""
             for lvl in range(hi, lo - 1, -1):
+                f = cont[lvl - lo] if cont else None
+                if f is None:
+                    f = len(first_run)
+                    first_run.append(len(runs))
+                face.append(f)
                 runs.append((si, lvl + base, col[lvl], col[lvl + 1]))
             last.extend([nslab - 1] * (hi - lo + 1))
-            parent.extend(range(len(parent), len(runs)))
             return list(range(len(runs) - 1, len(runs) - 2 - hi + lo, -1))
-
-        def opened(rs: list[int], vals: list[int]) -> list[int]:
-            """The runs rs of cells of positive length; vals are entry heights."""
-            return [r for r, lo, hi in zip(rs, vals, vals[1:]) if lo < hi]
 
         # col is the column bottom to top, FLOOR to CAP; arc k is col[where[k] - base],
         # so dropping or inserting at the bottom moves base, not every arc
@@ -314,7 +313,6 @@ class FaceComplex:
                         wins[-1][1] = hi
                     else:
                         wins.append([lo - 1, hi])
-                lvals = [heights(col[(c0 + e if c0 else 0):c1 + e + 2], p, q) for c0, c1 in wins]
 
                 if e:
                     del col[1:e + 1]
@@ -337,44 +335,38 @@ class FaceComplex:
                         last[r] = b - 1
                     cells = open_runs(0, len(col) - 2, b)
                 else:
-                    # top window first: only the bottom one changes length
-                    for (c0, c1), lv in zip(reversed(wins), reversed(lvals)):
-                        lo_l, lo_r = (c0 + e, c0 + s) if c0 else (0, 0)
+                    # both sides of a window hold the same heights at xb, so
+                    # right cell i of positive length continues left cell
+                    # i + off: off = e - s in the bottom window, past the
+                    # ended and new arcs at the floor. Top window first: only
+                    # the bottom one changes length
+                    for c0, c1 in reversed(wins):
+                        lo_l, lo_r, off = (c0 + e, c0 + s, 0) if c0 else (0, 0, e - s)
                         ended = cells[lo_l:c1 + e + 1]
-                        fresh = open_runs(lo_r, c1 + s, b)
-                        cells[lo_l:c1 + e + 1] = fresh
-                        rv = heights(col[lo_r:c1 + s + 2], p, q)
-                        # both windows hold the same heights at xb, so their
-                        # open cells are the same intervals in the same order
-                        for rl, rr in zip(opened(ended, lv), opened(fresh, rv), strict=True):
-                            ri, rj = find(rl), find(rr)
-                            if ri != rj:
-                                parent[rj] = ri
+                        vals = heights(col[lo_r:c1 + s + 2], p, q)
+                        cont = [face[ended[i + off]] if vals[i] < vals[i + 1] else None
+                                for i in range(len(vals) - 1)]
+                        cells[lo_l:c1 + e + 1] = open_runs(lo_r, c1 + s, b, cont)
                         for r in ended:
                             last[r] = b - 1
             self._base.append(base)
             self._depth.append(len(cells))
             bottom.append(cells[0])
 
-        # ids follow the least (first slab, -level) of each face's runs, the
-        # scan "slabs left to right, each column cap-down": for every
+        # a face's id is its number as its first run opened, so ids follow
+        # the scan "slabs left to right, each column cap-down": for every
         # discriminant the face at infinity of the leftmost slab gets id 0
-        ids: dict[int, int] = {}
-        self._face: list[int] = []  # per run
-        self._first_run: list[int] = []  # per face
-        for r in range(len(runs)):
-            root = find(r)
-            if root not in ids:
-                ids[root] = len(self._first_run)
-                self._first_run.append(r)
-            self._face.append(ids[root])
+        self._face, self._first_run = face, first_run
         self._runs, self._last = runs, last
         # the faces with a run under the cap: cusp membership without samples
-        self.cusp_faces = frozenset(f for f, run in zip(self._face, runs) if run[3] == CAP)
+        self.cusp_faces = frozenset(f for f, run in zip(face, runs) if run[3] == CAP)
         # the floor breaks at the walls, at x = 0 and wherever its face can
         # change: an arc ends on a wall or on the unit circle, so arcs leave
-        # and join the floor only at arc ends, and only a vertical line cuts it
-        breaks = {0, nslab, self._origin, *starts, *stops, *vertical}
+        # and join the floor only at arc ends. A vertical line x = x0 cuts it
+        # too, but at x = 0 or at an arc end: for 0 < |x0| < 1/2, S maps the
+        # line to a geodesic of the same D that leaves the unit circle at -x0
+        # for a wall, and its mirror under z -> -conj(z) is an arc ending at x0
+        breaks = {0, nslab, self._origin, *starts, *stops}
         self._build_boundary(left, (col, cells), bottom, sorted(breaks))
 
     def _wall_segments(

@@ -157,11 +157,10 @@ def cmd_faces(args: argparse.Namespace) -> int:
 def _sweep_task(task: tuple[int, tuple[int, ...], bool]) -> tuple[list[str], list[str]]:
     disc, weights, augmented = task
     fc = build_arrangement(disc)
-    graph = build_gluing_graph(fc)
-    orbits = orbits_and_cycles(graph)
+    orbits = orbits_and_cycles(build_gluing_graph(fc))
     rf = fc.face_count()
     even_sq = "true" if fc.even_square else "false"
-    spaces = [solve_space(fc, graph, k, augmented=augmented, orbits=orbits) for k in weights]
+    spaces = [solve_space(fc, orbits, k, augmented=augmented) for k in weights]
     lines = [
         f"D={disc} k={s.k} dim={s.dim} rF={rf} orbits={len(orbits)}"
         f" bound={s.bound} evenSquare={even_sq}"

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 from .arrangement import FaceComplex, OnExceptional, build_arrangement
 from .geometry import IDENTITY, AlgebraicPoint, ExactComplex, Mat2, reduce_point
-from .gluing import GluingGraph, Orbit, build_gluing_graph, orbits_and_cycles
+from .gluing import Orbit, build_gluing_graph, orbits_and_cycles
 
 
 class InvalidWeight(ValueError):
@@ -163,7 +163,6 @@ class LocalPolySpace:
     w: int
     augmented: bool
     complex: FaceComplex
-    graph: GluingGraph
     orbits: tuple[Orbit, ...]
     dim: int
     # per orbit (per face when augmented), its transport words and the
@@ -191,21 +190,14 @@ class LocalPolySpace:
 
 
 def solve_space(
-    fc: FaceComplex,
-    graph: GluingGraph,
-    k: int,
-    augmented: bool = False,
-    orbits: tuple[Orbit, ...] | None = None,
+    fc: FaceComplex, orbits: tuple[Orbit, ...], k: int, augmented: bool = False
 ) -> LocalPolySpace:
-    """Weight-k space of the complex; pass `orbits` if the caller already has
-    orbits_and_cycles(graph), else they are computed here.
+    """Weight-k space of the complex, given orbits_and_cycles of its gluing graph.
 
     Only the root vectors and slash matrices are built here; the basis is
     transported when it is first read.
     """
     w = check_weight(k)
-    if orbits is None:
-        orbits = orbits_and_cycles(graph)
     units = _units(w)
     # one slash matrix per distinct word; the identity word is never built
     mats: dict[Mat2, SlashMatrix] = {}
@@ -233,7 +225,7 @@ def solve_space(
             fixed.append((orb.words, vecs))
         roots = tuple(fixed)
     dim = sum(len(vecs) for _, vecs in roots)
-    return LocalPolySpace(fc.disc, k, w, augmented, fc, graph, orbits, dim, roots, mats)
+    return LocalPolySpace(fc.disc, k, w, augmented, fc, orbits, dim, roots, mats)
 
 
 def check_laws(
@@ -286,7 +278,7 @@ def check_laws(
 def compute_space(disc: int, k: int, augmented: bool = False) -> LocalPolySpace:
     check_weight(k)
     fc = build_arrangement(disc)
-    return solve_space(fc, build_gluing_graph(fc), k, augmented)
+    return solve_space(fc, orbits_and_cycles(build_gluing_graph(fc)), k, augmented)
 
 
 def _eval_poly(coeffs: Sequence[Fraction], z: ExactComplex) -> ExactComplex:

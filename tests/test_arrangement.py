@@ -7,6 +7,7 @@ import pytest
 
 from mlp import AlgebraicPoint, arrangement, build_arrangement
 from mlp.arrangement import OnExceptional, OutOfRegion
+from mlp.geometry import enumerate_forms, semicircle_interval
 
 from _support import arrangement_digest, euler_counts, stable_grid_face_count
 
@@ -204,7 +205,9 @@ def test_exceptional_faces_are_real_neighbors():
 
 def _all_pairs_partition(fc):
     """Root of every cell (si, lvl) when every left cell at each slab boundary
-    is compared with every right cell on Fraction heights."""
+    is compared with every right cell on Fraction heights. Off the vertical
+    lines, the overlap of left and right cells of positive length must be a
+    bijection: the sweep pairs them off in order and never merges faces."""
     parent = {}
 
     def stack(si, x):
@@ -222,14 +225,18 @@ def _all_pairs_partition(fc):
             continue
         lvals = stack(b - 1, xb)
         rvals = stack(b, xb)
-        for k in range(len(lvals) - 1):
-            if lvals[k] >= lvals[k + 1]:
-                continue
-            for l in range(len(rvals) - 1):
-                if rvals[l] >= rvals[l + 1]:
-                    continue
-                if max(lvals[k], rvals[l]) < min(lvals[k + 1], rvals[l + 1]):
-                    parent[find((b - 1, k))] = find((b, l))
+        lpos = [k for k in range(len(lvals) - 1) if lvals[k] < lvals[k + 1]]
+        rpos = [l for l in range(len(rvals) - 1) if rvals[l] < rvals[l + 1]]
+        overlap = [
+            (k, l)
+            for k in lpos
+            for l in rpos
+            if max(lvals[k], rvals[l]) < min(lvals[k + 1], rvals[l + 1])
+        ]
+        assert sorted(k for k, _ in overlap) == lpos, (fc.disc, b)
+        assert sorted(l for _, l in overlap) == rpos, (fc.disc, b)
+        for k, l in overlap:
+            parent[find((b - 1, k))] = find((b, l))
     return {
         (si, lvl): find((si, lvl))
         for si, stack in enumerate(fc.slab_arcs)
@@ -252,6 +259,20 @@ def test_boundary_merge_matches_all_pairs_reference():
         roots = {r for r, _ in pairs}
         fids = {f for _, f in pairs}
         assert len(pairs) == len(roots) == len(fids) == fc.face_count(), (fc.disc, fc.ycap)
+
+
+def test_vertical_feet_are_arc_ends():
+    # the floor breaks only at arc ends: off x = 0, a vertical line's foot is
+    # the end of the mirror of its S-image, an arc of the same D
+    lines = 0
+    for root in range(1, 101):
+        forms = enumerate_forms(root * root)
+        ends = {x for q in forms if q.a for x in semicircle_interval(q)}
+        for x in (Fraction(-q.c, q.b) for q in forms if q.a == 0):
+            if 0 < abs(x) < HALF:
+                lines += 1
+                assert x in ends, (root * root, x)
+    assert lines == 4900
 
 
 def test_form_without_arc_raises(monkeypatch):

@@ -257,10 +257,11 @@ def test_basis_satisfies_every_gluing_relation():
     for disc in [d for d in range(1, 31) if d % 4 in (0, 1)]:
         for k in (0, -2, -4):
             space = compute_space(disc, k)
+            graph = build_gluing_graph(space.complex)
             w = -k
             zeros = (Fraction(0),) * (w + 1)
             for elem in space.basis:
-                for e in space.graph.edges:
+                for e in graph.edges:
                     lhs = elem.get(e.src, zeros)
                     rhs = slash_matrix(e.gen, w).apply(elem.get(e.dst, zeros))
                     assert tuple(lhs) == tuple(rhs)
@@ -270,18 +271,18 @@ def test_dim_matches_modular_rank_oracle():
     for disc in [d for d in range(1, 151) if d % 4 in (0, 1)]:
         fc = build_arrangement(disc)
         graph = build_gluing_graph(fc)
+        orbits = orbits_and_cycles(graph)
         for k in (0, -2, -12):
-            assert solve_space(fc, graph, k).dim == modular_rank_dim(graph, k), (disc, k)
+            assert solve_space(fc, orbits, k).dim == modular_rank_dim(graph, k), (disc, k)
 
 
 def test_dim_counts_the_basis():
     for disc in [d for d in range(1, 151) if d % 4 in (0, 1)]:
         fc = build_arrangement(disc)
-        graph = build_gluing_graph(fc)
-        orbits = orbits_and_cycles(graph)
+        orbits = orbits_and_cycles(build_gluing_graph(fc))
         for k, augmented in [(0, False), (-2, False), (-4, False), (-12, False),
                              (0, True), (-2, True)]:
-            space = solve_space(fc, graph, k, augmented=augmented, orbits=orbits)
+            space = solve_space(fc, orbits, k, augmented=augmented)
             assert space.dim == len(space.basis), (disc, k, augmented)
 
 
@@ -313,16 +314,15 @@ def test_dim_bound_and_weight_zero_identity():
 
 def _laws_input(disc: int):
     fc = build_arrangement(disc)
-    graph = build_gluing_graph(fc)
-    return fc, graph, orbits_and_cycles(graph)
+    return fc, orbits_and_cycles(build_gluing_graph(fc))
 
 
 def test_check_laws_hold():
     for disc in [d for d in range(1, 61) if d % 4 in (0, 1)]:
-        fc, graph, orbits = _laws_input(disc)
-        spaces = [solve_space(fc, graph, k, orbits=orbits) for k in (0, -2, -4)]
+        fc, orbits = _laws_input(disc)
+        spaces = [solve_space(fc, orbits, k) for k in (0, -2, -4)]
         assert check_laws(fc, orbits, spaces) == [], disc
-        aug = [solve_space(fc, graph, k, augmented=True, orbits=orbits) for k in (0, -2)]
+        aug = [solve_space(fc, orbits, k, augmented=True) for k in (0, -2)]
         assert check_laws(fc, orbits, aug) == [], disc
 
 
@@ -346,25 +346,25 @@ def test_check_laws_hold():
     ],
 )
 def test_check_laws_reports_doctored_dims(disc, k, augmented, dim, expected):
-    fc, graph, orbits = _laws_input(disc)
-    space = solve_space(fc, graph, k, augmented=augmented, orbits=orbits)
+    fc, orbits = _laws_input(disc)
+    space = solve_space(fc, orbits, k, augmented=augmented)
     assert check_laws(fc, orbits, [dataclasses.replace(space, dim=dim)]) == expected
 
 
 def test_check_laws_reports_cusp_counts(monkeypatch):
-    fc, graph, orbits = _laws_input(5)
-    space = solve_space(fc, graph, -2, orbits=orbits)
+    fc, orbits = _laws_input(5)
+    space = solve_space(fc, orbits, -2)
     monkeypatch.setattr(fc, "cusp_face_count", lambda: 2)
     # cusp messages come first, then each space in order
     assert check_laws(fc, orbits, [space, dataclasses.replace(space, dim=9)]) == [
         "D=5: cuspFaces=2, expected 1",
         "D=5 k=-2: dim 9 not below bound 9",
     ]
-    fc, _, orbits = _laws_input(16)
+    fc, orbits = _laws_input(16)
     monkeypatch.setattr(fc, "cusp_face_count", lambda: 5)
     assert check_laws(fc, orbits, []) == ["D=16: cuspFaces=5, expected 4"]
     # an odd square has sqrt(D) + 1 cusp faces in sqrt(D) orbits
-    fc, _, orbits = _laws_input(9)
+    fc, orbits = _laws_input(9)
     assert check_laws(fc, orbits, []) == []
     cusp_orbit = next(o for o in orbits if any(fc.faces[f].is_cusp for f in o.faces))
     fewer = tuple(o for o in orbits if o is not cusp_orbit)

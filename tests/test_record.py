@@ -155,10 +155,9 @@ def _records():
     k in {0, -2}."""
     for disc in [d for d in range(1, 151) if d % 4 in (0, 1)]:
         fc = build_arrangement(disc)
-        graph = build_gluing_graph(fc)
-        orbits = orbits_and_cycles(graph)
+        orbits = orbits_and_cycles(build_gluing_graph(fc))
         for k, aug in [(k, False) for k in (0, -2, -4, -8, -12)] + [(0, True), (-2, True)]:
-            yield ResultRecord.from_space(solve_space(fc, graph, k, augmented=aug, orbits=orbits))
+            yield ResultRecord.from_space(solve_space(fc, orbits, k, augmented=aug))
 
 
 def test_to_json_equals_json_dumps():

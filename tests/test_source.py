@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mlp"
@@ -50,3 +51,11 @@ def test_tracer_locations_are_bound():
         except AttributeError:
             missing.append(loc)
     assert missing == []
+
+
+def test_readme_lists_every_module():
+    # the README's module list names each module of the package, and no other
+    readme = (SRC.parent.parent / "README.md").read_text(encoding="utf-8")
+    listed = re.findall(r"^\* `mlp\.(\w+)`", readme, flags=re.MULTILINE)
+    modules = [path.stem for path in SRC.glob("*.py") if path.stem != "__init__"]
+    assert sorted(listed) == sorted(modules)
