@@ -23,7 +23,7 @@ from .arrangement import build_arrangement
 from .geometry import InvalidDiscriminant, check_discriminant, enumerate_forms
 from .gluing import build_gluing_graph, orbits_and_cycles
 from .polyspace import InvalidWeight, check_laws, check_weight, compute_space, solve_space
-from .record import ResultRecord, render_poly
+from .record import ResultRecord, _layout, frac_str, render_poly
 from .svgfig import svg_figure
 
 
@@ -128,26 +128,25 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 def cmd_faces(args: argparse.Namespace) -> int:
     fc = build_arrangement(args.disc)
-    out = {
-        "D": fc.disc,
-        "rF": fc.face_count(),
-        "cuspFaces": fc.cusp_face_count(),
-        "flags": {
-            "evenSquare": fc.even_square,
-            "bottomInE": fc.bottom_in_e,
-            "wallsInE": fc.left_wall_in_e,
-        },
-        "faces": [
-            {
-                "id": f.index,
-                "sample": [f"{f.sample.x.numerator}/{f.sample.x.denominator}",
-                           f"{f.sample.s.numerator}/{f.sample.s.denominator}"],
-                "cusp": f.is_cusp,
-            }
-            for f in fc.faces
-        ],
-    }
-    print(json.dumps(out, indent=2))
+    # laid out as json.dumps(indent=2) would; the "p/q" samples need no escaping
+    faces = []
+    for f in fc.faces:
+        sample = _layout([f'"{frac_str(f.sample.x)}"', f'"{frac_str(f.sample.s)}"'], " " * 6)
+        items = [f'"id": {f.index}', f'"sample": {sample}', f'"cusp": {json.dumps(f.is_cusp)}']
+        faces.append(_layout(items, " " * 4, "{}"))
+    flags = [
+        f'"evenSquare": {json.dumps(fc.even_square)}',
+        f'"bottomInE": {json.dumps(fc.bottom_in_e)}',
+        f'"wallsInE": {json.dumps(fc.left_wall_in_e)}',
+    ]
+    fields = [
+        f'"D": {fc.disc}',
+        f'"rF": {fc.face_count()}',
+        f'"cuspFaces": {fc.cusp_face_count()}',
+        f'"flags": {_layout(flags, "  ", "{}")}',
+        f'"faces": {_layout(faces, "  ")}',
+    ]
+    print(_layout(fields, "", "{}"))
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg_figure(fc, precision=args.precision))

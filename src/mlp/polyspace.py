@@ -37,19 +37,15 @@ def check_weight(k: int) -> int:
     return -k
 
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+
+
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:
     out = [0] * (len(p) + len(q) - 1)
     for i, pi in enumerate(p):
         if pi:
             for j, qj in enumerate(q):
                 out[i + j] += pi * qj
-    return out
-
-
-def _poly_pow(p: list[int], n: int) -> list[int]:
-    out = [1]
-    for _ in range(n):
-        out = _poly_mul(out, p)
     return out
 
 
@@ -72,24 +68,26 @@ class SlashMatrix:
         return SlashMatrix(prod, self.w)
 
     def apply(self, vec: Sequence[Union[Fraction, int]]) -> tuple[Fraction, ...]:
-        # integer dot products over one common denominator, one Fraction per entry
+        # integer dot products over one common denominator, one Fraction per
+        # nonzero entry; a zero entry is the shared _ZERO
         den = lcm(*(x.denominator for x in vec))
         nums = [x.numerator * (den // x.denominator) for x in vec]
-        return tuple(Fraction(sum(map(mul, row, nums)), den) for row in self.mat)
+        sums = [sum(map(mul, row, nums)) for row in self.mat]
+        return tuple(Fraction(t, den) if t else _ZERO for t in sums)
 
 
 def slash_matrix(g: Mat2, w: int) -> SlashMatrix:
     if w < 0 or w % 2:
         raise InvalidWeight(f"invalid degree {w} (need an even integer >= 0)")
-    # column j holds the coefficients of (aX+b)^j (cX+d)^(w-j)
-    cols = []
-    for j in range(w + 1):
-        cols.append(_poly_mul(_poly_pow([g.b, g.a], j), _poly_pow([g.d, g.c], w - j)))
+    # column j holds the coefficients of (aX+b)^j (cX+d)^(w-j), from running
+    # powers up[j] = (aX+b)^j and down[j] = (cX+d)^j
+    up, down = [[1]], [[1]]
+    for _ in range(w):
+        up.append(_poly_mul(up[-1], [g.b, g.a]))
+        down.append(_poly_mul(down[-1], [g.d, g.c]))
+    cols = [_poly_mul(up[j], down[w - j]) for j in range(w + 1)]
     mat = tuple(tuple(cols[j][i] for j in range(w + 1)) for i in range(w + 1))
     return SlashMatrix(mat, w)
-
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _units(w: int) -> list[tuple[Fraction, ...]]:
@@ -155,7 +153,9 @@ class LocalPolySpace:
 
     dim is counted from the root vectors alone. basis[i] maps face index ->
     coefficient vector; faces a given element vanishes on identically are
-    simply absent from its mapping. It is transported on first read.
+    simply absent from its mapping. It is transported on first read, each
+    (slash matrix, root vector) pair once, so equal images are one shared
+    tuple and the basis is read-only.
     """
 
     disc: int
@@ -180,12 +180,23 @@ class LocalPolySpace:
     @cached_property
     def basis(self) -> tuple[dict[int, tuple[Fraction, ...]], ...]:
         basis: list[dict[int, tuple[Fraction, ...]]] = []
+        # orbits share words and cycle-free ones share root vectors; self.slash
+        # and self.roots keep every m and v alive, so no id is reused here
+        images: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+
+        def image(m: SlashMatrix, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
+            key = (id(m), id(v))
+            out = images.get(key)
+            if out is None:
+                out = images[key] = m.apply(v)
+            return out
+
         for words, vecs in self.roots:
             # slash holds every word of an orbit with vectors but never the
             # identity, whose face carries the root vector as is
             transport = [(f, self.slash.get(g)) for f, g in words.items()]
             for v in vecs:
-                basis.append({f: v if m is None else m.apply(v) for f, m in transport})
+                basis.append({f: v if m is None else image(m, v) for f, m in transport})
         return tuple(basis)
 
 

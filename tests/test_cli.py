@@ -166,6 +166,15 @@ def test_faces_output_golden(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, f"D={disc}"
 
 
+def test_faces_output_equals_json_dumps_layout(capsys):
+    # the faces writer lays its object out itself; json's indenting encoder
+    # is the oracle for that layout
+    for disc in [d for d in range(1, 201) if d % 4 in (0, 1)] + [2000]:
+        code, out, _ = run(capsys, "faces", "--disc", str(disc))
+        assert code == 0
+        assert out == json.dumps(json.loads(out), indent=2) + "\n", f"D={disc}"
+
+
 def test_faces_d4_flags(capsys):
     code, out, _ = run(capsys, "faces", "--disc", "4")
     assert code == 0

@@ -91,6 +91,35 @@ def test_slash_matrix_pins():
         slash_matrix(T, 3)
 
 
+def _reference_slash_matrix(g: Mat2, w: int) -> tuple[tuple[int, ...], ...]:
+    """Column j as (aX+b)^j (cX+d)^(w-j), each power expanded from scratch:
+    the reference slash_matrix's running powers must reproduce exactly."""
+
+    def mul(p, q):
+        out = [0] * (len(p) + len(q) - 1)
+        for i, pi in enumerate(p):
+            for j, qj in enumerate(q):
+                out[i + j] += pi * qj
+        return out
+
+    def power(p, n):
+        out = [1]
+        for _ in range(n):
+            out = mul(out, p)
+        return out
+
+    cols = [mul(power([g.b, g.a], j), power([g.d, g.c], w - j)) for j in range(w + 1)]
+    return tuple(tuple(cols[j][i] for j in range(w + 1)) for i in range(w + 1))
+
+
+def test_slash_matrix_matches_reference_expansion():
+    rng = random.Random(1909)
+    for w in range(0, 25, 2):
+        words = [IDENTITY, S, T, T.inv() @ S] + [random_word(rng) for _ in range(30)]
+        for g in words:
+            assert slash_matrix(g, w).mat == _reference_slash_matrix(g, w), (g, w)
+
+
 def test_slash_matrix_weight_zero_is_trivial():
     rng = random.Random(31007)
     for _ in range(20):
@@ -298,6 +327,40 @@ def test_basis_read_runs_no_elimination(monkeypatch):
     basis = space.basis
     assert len(basis) == space.dim
     assert space.basis is basis  # transported once
+
+
+def test_basis_transports_each_word_and_vector_once(monkeypatch):
+    calls = []
+    apply = SlashMatrix.apply
+
+    def counted(self, vec):
+        calls.append(vec)
+        return apply(self, vec)
+
+    monkeypatch.setattr(SlashMatrix, "apply", counted)
+    for disc, k, pairs in ((33, -4, 11), (97, -8, 21)):
+        space = compute_space(disc, k)
+        distinct = {
+            (g, id(v))
+            for words, vecs in space.roots
+            for g in words.values()
+            if g != IDENTITY
+            for v in vecs
+        }
+        calls.clear()
+        basis = space.basis
+        assert len(calls) == len(distinct) == pairs, (disc, k)
+        # faces reached by the same word from the same root vector share the image
+        seen = {}
+        elems = iter(basis)
+        for words, vecs in space.roots:
+            for v in vecs:
+                elem = next(elems)
+                for f, g in words.items():
+                    if g != IDENTITY:
+                        assert seen.setdefault((g, id(v)), elem[f]) is elem[f], (disc, k, f)
+        assert len(seen) == pairs
+        assert next(elems, None) is None
 
 
 def test_dim_bound_and_weight_zero_identity():

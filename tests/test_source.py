@@ -24,6 +24,21 @@ def test_no_assert_in_library():
     assert found == []
 
 
+def test_no_indenting_json_encoder():
+    # json.dumps(indent=...) runs CPython's pure-Python encoder; every command
+    # lays its JSON out through record._layout instead. The AST sees calls
+    # only, not the docstrings that name indent=2.
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and any(kw.arg == "indent" for kw in node.keywords)
+    ]
+    assert found == []
+
+
 def _traced_locations() -> list[str]:
     """The `module:attr.path` names the benchmark's tracer wraps, read from
     the PATCHES table in benchmark/spans.py."""
