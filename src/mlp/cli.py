@@ -153,13 +153,18 @@ def cmd_faces(args: argparse.Namespace) -> int:
     return 0
 
 
+# The slash matrices and fixed spaces of one sweep, shared by its tasks:
+# cmd_sweep empties it before the first, and each --jobs worker fills its own.
+_SWEEP_MEMO: dict = {}
+
+
 def _sweep_task(task: tuple[int, tuple[int, ...], bool]) -> tuple[list[str], list[str]]:
     disc, weights, augmented = task
     fc = build_arrangement(disc)
     orbits = orbits_and_cycles(build_gluing_graph(fc))
     rf = fc.face_count()
     even_sq = "true" if fc.even_square else "false"
-    spaces = [solve_space(fc, orbits, k, augmented=augmented) for k in weights]
+    spaces = [solve_space(fc, orbits, k, augmented=augmented, memo=_SWEEP_MEMO) for k in weights]
     lines = [
         f"D={disc} k={s.k} dim={s.dim} rF={rf} orbits={len(orbits)}"
         f" bound={s.bound} evenSquare={even_sq}"
@@ -179,6 +184,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         check_weight(k)
     discs = [d for d in range(1, args.max_disc + 1) if d % 4 in (0, 1)]
     tasks = [(d, weights, args.augmented) for d in discs]
+    _SWEEP_MEMO.clear()
     if args.jobs > 1:
         # a pool forks every worker at its first submit
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:

@@ -92,6 +92,10 @@ def orbits_and_cycles(graph: GluingGraph) -> tuple[Orbit, ...]:
             continue
         cid = len(orbits)
         comp[root] = cid
+        if not adj[root]:
+            # a face on no gluing edge is an orbit by itself, with no walk
+            orbits.append(Orbit(root, (root,), {root: IDENTITY}, ()))
+            continue
         words = {root: IDENTITY}
         order = [root]
         queue = deque([root])
@@ -109,13 +113,16 @@ def orbits_and_cycles(graph: GluingGraph) -> tuple[Orbit, ...]:
                 queue.append(nbr)
         orbits.append(Orbit(root, tuple(order), words, ()))
 
-    cycles: list[list[Mat2]] = [[] for _ in orbits]
+    # only orbits with a non-tree edge get cycles; the rest keep ()
+    cycles: dict[int, list[Mat2]] = {}
     for ei, e in enumerate(graph.edges):
         if ei in tree:
             continue
         orb = orbits[comp[e.src]]
         # P_root|w_src = P_root|w_dst|gen collapses to one relation at the root
-        cycles[comp[e.src]].append(orb.words[e.dst] @ e.gen @ orb.words[e.src].inv())
-    for orb, cyc in zip(orbits, cycles):
-        orb.cycles = tuple(cyc)
+        cycles.setdefault(comp[e.src], []).append(
+            orb.words[e.dst] @ e.gen @ orb.words[e.src].inv()
+        )
+    for cid, cyc in cycles.items():
+        orbits[cid].cycles = tuple(cyc)
     return tuple(orbits)

@@ -151,11 +151,13 @@ def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fracti
 class LocalPolySpace:
     """Weight-k space for one discriminant.
 
-    dim is counted from the root vectors alone. basis[i] maps face index ->
-    coefficient vector; faces a given element vanishes on identically are
-    simply absent from its mapping. It is transported on first read, each
-    (slash matrix, root vector) pair once, so equal images are one shared
-    tuple and the basis is read-only.
+    dim is counted without a root vector per orbit: w+1 for every orbit with
+    no non-identity cycle (and every face, when augmented), plus the size of
+    each cycle orbit's fixed space. basis[i] maps face index -> coefficient
+    vector; faces a given element vanishes on identically are simply absent
+    from its mapping. It is transported on first read, each (slash matrix,
+    root vector) pair once, so equal images are one shared tuple and the
+    basis is read-only.
     """
 
     disc: int
@@ -165,10 +167,9 @@ class LocalPolySpace:
     complex: FaceComplex
     orbits: tuple[Orbit, ...]
     dim: int
-    # per orbit (per face when augmented), its transport words and the
-    # vectors its root polynomial may take; cycle-free entries share one
-    # standard basis
-    roots: tuple[tuple[dict[int, Mat2], list], ...] = field(repr=False, compare=False)
+    # orbit index -> the vectors its root polynomial may take, for the orbits
+    # with a non-identity cycle; every other root is free
+    fixed: dict[int, list] = field(repr=False, compare=False)
     # the slash matrix of every non-identity word the transport reads
     slash: dict[Mat2, SlashMatrix] = field(repr=False, compare=False)
 
@@ -178,10 +179,21 @@ class LocalPolySpace:
         return (self.w + 1) * self.complex.face_count()
 
     @cached_property
+    def roots(self) -> tuple[tuple[dict[int, Mat2], list], ...]:
+        """Per orbit (per face when augmented), its transport words and the
+        vectors its root polynomial may take; free roots share one standard
+        basis."""
+        units = _units(self.w)
+        if self.augmented:
+            # no matching conditions at all: monomials on every face
+            return tuple(({f: IDENTITY}, units) for f in range(self.complex.face_count()))
+        return tuple((orb.words, self.fixed.get(i, units)) for i, orb in enumerate(self.orbits))
+
+    @cached_property
     def basis(self) -> tuple[dict[int, tuple[Fraction, ...]], ...]:
         basis: list[dict[int, tuple[Fraction, ...]]] = []
-        # orbits share words and cycle-free ones share root vectors; self.slash
-        # and self.roots keep every m and v alive, so no id is reused here
+        # orbits share words and root vectors; self.slash and self.roots keep
+        # every m and v alive, so no id is reused here
         images: dict[tuple[int, int], tuple[Fraction, ...]] = {}
 
         def image(m: SlashMatrix, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
@@ -201,42 +213,55 @@ class LocalPolySpace:
 
 
 def solve_space(
-    fc: FaceComplex, orbits: tuple[Orbit, ...], k: int, augmented: bool = False
+    fc: FaceComplex,
+    orbits: tuple[Orbit, ...],
+    k: int,
+    augmented: bool = False,
+    *,
+    memo: dict | None = None,
 ) -> LocalPolySpace:
     """Weight-k space of the complex, given orbits_and_cycles of its gluing graph.
 
-    Only the root vectors and slash matrices are built here; the basis is
-    transported when it is first read.
+    Only orbits with a non-identity cycle solve for their root vectors, and
+    only orbits of more than one face get slash matrices for transport; the
+    basis is transported when it is first read. memo holds slash matrices
+    keyed by (word, w) and fixed spaces keyed by (cycle words, w), so calls
+    that share it build each once. Without one, the call shares nothing.
     """
     w = check_weight(k)
-    units = _units(w)
-    # one slash matrix per distinct word; the identity word is never built
+    if memo is None:
+        memo = {}
+    # the slash matrix of every non-identity transport word; the identity word
+    # is never built
     mats: dict[Mat2, SlashMatrix] = {}
+    fixed: dict[int, list] = {}
     if augmented:
-        # no matching conditions at all: monomials on every face
-        roots = tuple(({f: IDENTITY}, units) for f in range(fc.face_count()))
-    else:
+        dim = (w + 1) * fc.face_count()
+        return LocalPolySpace(fc.disc, k, w, True, fc, orbits, dim, fixed, mats)
 
-        def slash(g: Mat2) -> SlashMatrix:
-            m = mats.get(g)
-            if m is None:
-                m = mats[g] = slash_matrix(g, w)
-            return m
+    def slash(g: Mat2) -> SlashMatrix:
+        m = memo.get((g, w))
+        if m is None:
+            m = memo[(g, w)] = slash_matrix(g, w)
+        return m
 
-        fixed: list[tuple[dict[int, Mat2], list]] = []
-        for orb in orbits:
-            cycles = [slash(g) for g in orb.cycles if g != IDENTITY]
-            vecs = fixed_space(cycles, w) if cycles else units
-            # every transport word gets its matrix now: reading the basis
-            # later only applies them
-            if vecs:
-                for g in orb.words.values():
-                    if g != IDENTITY:
-                        slash(g)
-            fixed.append((orb.words, vecs))
-        roots = tuple(fixed)
-    dim = sum(len(vecs) for _, vecs in roots)
-    return LocalPolySpace(fc.disc, k, w, augmented, fc, orbits, dim, roots, mats)
+    for i, orb in enumerate(orbits):
+        vecs = None
+        if orb.cycles:
+            words = tuple(g for g in orb.cycles if g != IDENTITY)
+            if words:
+                vecs = memo.get((words, w))
+                if vecs is None:
+                    vecs = memo[(words, w)] = fixed_space([slash(g) for g in words], w)
+                fixed[i] = vecs
+        # every transport word gets its matrix now: reading the basis later
+        # only applies them
+        if len(orb.faces) > 1 and (vecs is None or vecs):
+            for g in orb.words.values():
+                if g != IDENTITY and g not in mats:
+                    mats[g] = slash(g)
+    dim = (w + 1) * (len(orbits) - len(fixed)) + sum(map(len, fixed.values()))
+    return LocalPolySpace(fc.disc, k, w, False, fc, orbits, dim, fixed, mats)
 
 
 def check_laws(

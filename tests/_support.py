@@ -13,6 +13,10 @@ count against numbers the library never computes.
 The dimension oracle writes every gluing relation as linear rows over all
 face coefficients at once and takes the nullity by rank modulo primes: no
 orbits, transport words, cycles or fixed spaces.
+
+The deficit law gives the dimension from the orbit count and three flags read
+off the forms (does the cusp, i or rho lie on no geodesic), so it shares no
+input with the cycles and fixed spaces the library solves.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Iterable
 
-from mlp import S, T, AlgebraicPoint, Mat2, build_arrangement, enumerate_forms
+from mlp import S, T, AlgebraicPoint, Mat2, build_arrangement, enumerate_forms, eval_form
+from mlp.geometry import is_square
 
 HALF = Fraction(1, 2)
 
@@ -249,6 +254,33 @@ def modular_rank_dim(graph, k: int) -> int:
                 row[key] = row.get(key, 0) - cols[j][i]
             rows.append(row)
     return n * graph.n_faces - max(_rank_mod(rows, p) for p in RANK_PRIMES)
+
+
+I_POINT = AlgebraicPoint(Fraction(0), Fraction(1))
+RHO_POINT = AlgebraicPoint(-HALF, Fraction(3, 4))
+
+
+def deficit_law_dim(fc, orbit_count: int, k: int) -> int:
+    """Weight-k dimension by the deficit law
+
+        dim = (w+1)*orbits - w*c_cusp - (w - 2*(w//4))*c_i - (w - 2*(w//6))*c_rho
+
+    with w = -k, c_cusp = 1 iff D is not a square, and c_i (c_rho) = 1 iff no
+    form of D vanishes at i (at rho). A cycle at the cusp, i or rho fixes 1,
+    2*(w//4)+1 or 2*(w//6)+1 polynomials of degree <= w, in the shape of the
+    dimension formula for modular forms. The law is observed, not proven: a
+    face holding two of the three points would break it.
+    """
+    w = -k
+    c_cusp = not is_square(fc.disc)
+    c_i = all(eval_form(q, I_POINT) for q in fc.forms)
+    c_rho = all(eval_form(q, RHO_POINT) for q in fc.forms)
+    return (
+        (w + 1) * orbit_count
+        - w * c_cusp
+        - (w - 2 * (w // 4)) * c_i
+        - (w - 2 * (w // 6)) * c_rho
+    )
 
 
 def arrangement_digest(max_disc: int = 0, discs: Iterable[int] = ()) -> str:

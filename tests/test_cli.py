@@ -4,12 +4,13 @@ import dataclasses
 import hashlib
 import json
 import xml.etree.ElementTree as ET
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from mlp import AlgebraicPoint, build_arrangement
-from mlp import arrangement, cli
+from mlp import arrangement, cli, polyspace
 from mlp.cli import main
 from mlp.polyspace import SlashMatrix
 from mlp.record import ResultRecord
@@ -335,12 +336,23 @@ def test_sweep_small(capsys):
     assert lines[-1] == "sweep ok: 10 discriminants, weights [0, -2]"
 
 
+# sha256 of `mlp sweep --max-disc 150 --weights 0,-2,-4` stdout
+SWEEP_150_SHA256 = "24d4e593776ab757dd004071deed67f5fa0ad184a97cab3e0fcb117055b9b771"
+
+
 def test_sweep_parallel_matches_serial(capsys):
     _, serial, _ = run(capsys, "sweep", "--max-disc", "17", "--weights", "0,-2")
     _, parallel, _ = run(
         capsys, "sweep", "--max-disc", "17", "--weights", "0,-2", "--jobs", "2"
     )
     assert parallel == serial
+    # each worker fills its own memo, so its spaces must equal the serial ones
+    for jobs in ("1", "2"):
+        code, out, _ = run(
+            capsys, "sweep", "--max-disc", "150", "--weights", "0,-2,-4", "--jobs", jobs
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_150_SHA256, jobs
 
 
 def test_sweep_augmented(capsys):
@@ -392,6 +404,33 @@ def test_sweep_transports_nothing(capsys, monkeypatch):
     code, out, err = run(capsys, "sweep", "--max-disc", "60")
     assert code == 0 and err == ""
     assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_60_SHA256
+
+
+def test_sweep_builds_each_matrix_and_fixed_space_once(capsys, monkeypatch):
+    # one memo per sweep: a slash matrix per (word, w) and a fixed space per
+    # (cycle words, w), built again by the next sweep; a dim query shares
+    # nothing, not even with the same query before it
+    built = Counter()
+    for name in ("slash_matrix", "fixed_space"):
+        fn = getattr(polyspace, name)
+
+        def counted(*args, fn=fn, name=name):
+            built[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(polyspace, name, counted)
+    for argv, slash, fixed in [
+        (["sweep", "--max-disc", "60"], 15, 9),
+        (["sweep", "--max-disc", "60"], 15, 9),
+        (["dim", "--disc", "97", "--weight", "-8"], 4, 2),
+        (["dim", "--disc", "97", "--weight", "-8"], 4, 2),
+    ]:
+        built.clear()
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert (built["slash_matrix"], built["fixed_space"]) == (slash, fixed), argv
+        if argv[0] == "sweep":
+            assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_60_SHA256
 
 
 # sha256 of `mlp dim --disc 33 --weight -2` stdout

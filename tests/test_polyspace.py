@@ -33,7 +33,7 @@ from mlp.polyspace import (
     solve_space,
 )
 
-from _support import exceptional_points, modular_rank_dim, random_word
+from _support import deficit_law_dim, exceptional_points, modular_rank_dim, random_word
 
 HALF = Fraction(1, 2)
 RHO = AlgebraicPoint(HALF, Fraction(3, 4))
@@ -303,6 +303,19 @@ def test_dim_matches_modular_rank_oracle():
         orbits = orbits_and_cycles(graph)
         for k in (0, -2, -12):
             assert solve_space(fc, orbits, k).dim == modular_rank_dim(graph, k), (disc, k)
+
+
+def test_dim_matches_deficit_law():
+    # solved the sweep's way, with one memo over every D, so a memo entry
+    # served to the wrong discriminant or weight shows as a wrong dim
+    memo = {}
+    weights = (*range(0, -16, -2), -24)
+    for disc in [d for d in range(1, 401) if d % 4 in (0, 1)]:
+        fc = build_arrangement(disc)
+        orbits = orbits_and_cycles(build_gluing_graph(fc))
+        for k in weights:
+            dim = solve_space(fc, orbits, k, memo=memo).dim
+            assert dim == deficit_law_dim(fc, len(orbits), k), (disc, k)
 
 
 def test_dim_counts_the_basis():
