@@ -71,7 +71,6 @@ class OutOfRegion(ValueError):
 class Arc:
     """A semicircle geodesic clipped to the domain: x in [lo, hi]."""
 
-    form_index: int
     a: int
     b: int
     c: int
@@ -81,14 +80,6 @@ class Arc:
     def height_sq(self, x: Fraction) -> Fraction:
         """y^2 on the circle at abscissa x: -(bx+c)/a - x^2."""
         return Fraction(-(self.b * x + self.c), self.a) - x * x
-
-
-@dataclass(frozen=True)
-class VLine:
-    """A vertical geodesic strictly inside the strip, running foot to cap."""
-
-    form_index: int
-    x: Fraction
 
 
 @dataclass(frozen=True)
@@ -139,29 +130,24 @@ class FaceComplex:
         self.ycap = ycap
         self.cap_sq = Fraction(self.ycap * self.ycap)
 
-        self.bottom_in_e = False
-        self.left_wall_in_e = False
-        self.right_wall_in_e = False
+        # the floor [a, 0, -a] and the walls x = +-1/2 are geodesics exactly
+        # when D is an even square; they bound the domain and cut nothing
         arcs: list[Arc] = []
-        vlines: list[VLine] = []
-        for idx, q in enumerate(self.forms):
+        vlines: list[Fraction] = []
+        for q in self.forms:
             if q.a:
                 if q.b == 0 and q.c == -q.a:
-                    self.bottom_in_e = True
                     continue
                 span = semicircle_interval(q)
                 if span is None:
                     raise RuntimeError(f"form {q.as_list()} has no arc in the strip")
-                arcs.append(Arc(idx, q.a, q.b, q.c, span[0], span[1]))
+                arcs.append(Arc(q.a, q.b, q.c, span[0], span[1]))
             else:
                 x = Fraction(-q.c, q.b)
-                if x == -HALF:
-                    self.left_wall_in_e = True
-                elif x == HALF:
-                    self.right_wall_in_e = True
-                else:
-                    vlines.append(VLine(idx, x))
+                if abs(x) != HALF:
+                    vlines.append(x)
         self.arcs = tuple(arcs)
+        # the vertical geodesics inside the strip, foot to cap, by abscissa
         self.vlines = tuple(vlines)
 
         self._lcm_a = lcm(*(arc.a for arc in arcs))
@@ -198,7 +184,7 @@ class FaceComplex:
                 if (ln1 * det < num * ld1 and num * hd1 < hn1 * det
                         and ln2 * det < num * ld2 and num * hd2 < hn2 * det):
                     crossings.append((num, det, i, j))
-        vxs = [(v.x.numerator, v.x.denominator) for v in self.vlines]
+        vxs = [(x.numerator, x.denominator) for x in self.vlines]
         qmax = max(2, *(q for _, q in vxs), *(det for _, det, _, _ in crossings),
                    *(max(ld, hd, 2 * a) for a, _, _, _, ld, _, hd in ends))
         # every abscissa is p/q with 0 < q <= qmax: its key is
@@ -388,18 +374,18 @@ class FaceComplex:
         """Wall segments from the first and the last column, given as (column,
         runs); bottom segments from the floor run of each slab, one per slab,
         between the floor's breaks, given as positions in xs."""
-        self.left_segments = () if self.left_wall_in_e else self._wall_segments(*left, -HALF)
-        self.right_segments = () if self.right_wall_in_e else self._wall_segments(*right, HALF)
-
-        if self.bottom_in_e:
-            self.bottom_segments: tuple[BottomSegment, ...] = ()
-        else:
-            # between breaks the floor cell keeps its face
-            xs = self.xs
-            self.bottom_segments = tuple(
-                BottomSegment(xs[i], xs[j], self._face[bottom[i]])
-                for i, j in zip(breaks, breaks[1:])
-            )
+        if self.even_square:
+            # the walls and the floor lie on geodesics: no face borders them
+            self.left_segments = self.right_segments = self.bottom_segments = ()
+            return
+        self.left_segments = self._wall_segments(*left, -HALF)
+        self.right_segments = self._wall_segments(*right, HALF)
+        # between breaks the floor cell keeps its face
+        xs = self.xs
+        self.bottom_segments = tuple(
+            BottomSegment(xs[i], xs[j], self._face[bottom[i]])
+            for i, j in zip(breaks, breaks[1:])
+        )
 
     # -- queries --------------------------------------------------------
 

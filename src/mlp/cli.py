@@ -134,11 +134,9 @@ def cmd_faces(args: argparse.Namespace) -> int:
         sample = _layout([f'"{frac_str(f.sample.x)}"', f'"{frac_str(f.sample.s)}"'], " " * 6)
         items = [f'"id": {f.index}', f'"sample": {sample}', f'"cusp": {json.dumps(f.is_cusp)}']
         faces.append(_layout(items, " " * 4, "{}"))
-    flags = [
-        f'"evenSquare": {json.dumps(fc.even_square)}',
-        f'"bottomInE": {json.dumps(fc.bottom_in_e)}',
-        f'"wallsInE": {json.dumps(fc.left_wall_in_e)}',
-    ]
+    # the floor and the walls lie on geodesics exactly when D is an even square
+    flag = json.dumps(fc.even_square)
+    flags = [f'"evenSquare": {flag}', f'"bottomInE": {flag}', f'"wallsInE": {flag}']
     fields = [
         f'"D": {fc.disc}',
         f'"rF": {fc.face_count()}',

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 HALF = Fraction(1, 2)
 

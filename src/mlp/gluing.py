@@ -67,12 +67,11 @@ def build_gluing_graph(fc: FaceComplex) -> GluingGraph:
 class Orbit:
     """A connected component of the gluing graph, rooted at its least face.
 
-    words[f] transports the root polynomial to face f (P_f = P_root | words[f]);
+    words maps each face f, in walk order from the root (its first key), to
+    the word that transports the root polynomial there (P_f = P_root | words[f]);
     cycles are the words g with P_root = P_root | g, one per non-tree edge.
     """
 
-    root: int
-    faces: tuple[int, ...]
     words: dict[int, Mat2]
     cycles: tuple[Mat2, ...]
 
@@ -94,10 +93,9 @@ def orbits_and_cycles(graph: GluingGraph) -> tuple[Orbit, ...]:
         comp[root] = cid
         if not adj[root]:
             # a face on no gluing edge is an orbit by itself, with no walk
-            orbits.append(Orbit(root, (root,), {root: IDENTITY}, ()))
+            orbits.append(Orbit({root: IDENTITY}, ()))
             continue
         words = {root: IDENTITY}
-        order = [root]
         queue = deque([root])
         while queue:
             cur = queue.popleft()
@@ -109,9 +107,8 @@ def orbits_and_cycles(graph: GluingGraph) -> tuple[Orbit, ...]:
                 # multiplies the word by gen^-1, backwards by gen
                 words[nbr] = words[cur] @ (gen.inv() if fwd else gen)
                 tree.add(ei)
-                order.append(nbr)
                 queue.append(nbr)
-        orbits.append(Orbit(root, tuple(order), words, ()))
+        orbits.append(Orbit(words, ()))
 
     # only orbits with a non-tree edge get cycles; the rest keep ()
     cycles: dict[int, list[Mat2]] = {}

@@ -170,8 +170,9 @@ class LocalPolySpace:
     # orbit index -> the vectors its root polynomial may take, for the orbits
     # with a non-identity cycle; every other root is free
     fixed: dict[int, list] = field(repr=False, compare=False)
-    # the slash matrix of every non-identity word the transport reads
-    slash: dict[Mat2, SlashMatrix] = field(repr=False, compare=False)
+    # the memo solve_space filled: the slash matrix of every non-identity word
+    # the transport reads, keyed by (word, w)
+    memo: dict = field(repr=False, compare=False)
 
     @property
     def bound(self) -> int:
@@ -192,7 +193,7 @@ class LocalPolySpace:
     @cached_property
     def basis(self) -> tuple[dict[int, tuple[Fraction, ...]], ...]:
         basis: list[dict[int, tuple[Fraction, ...]]] = []
-        # orbits share words and root vectors; self.slash and self.roots keep
+        # orbits share words and root vectors; the memo and self.roots keep
         # every m and v alive, so no id is reused here
         images: dict[tuple[int, int], tuple[Fraction, ...]] = {}
 
@@ -203,10 +204,13 @@ class LocalPolySpace:
                 out = images[key] = m.apply(v)
             return out
 
+        memo, w = self.memo, self.w
         for words, vecs in self.roots:
-            # slash holds every word of an orbit with vectors but never the
+            if not vecs:
+                continue
+            # the memo holds every word of an orbit with vectors but never the
             # identity, whose face carries the root vector as is
-            transport = [(f, self.slash.get(g)) for f, g in words.items()]
+            transport = [(f, None if g == IDENTITY else memo[(g, w)]) for f, g in words.items()]
             for v in vecs:
                 basis.append({f: v if m is None else image(m, v) for f, m in transport})
         return tuple(basis)
@@ -224,20 +228,18 @@ def solve_space(
 
     Only orbits with a non-identity cycle solve for their root vectors, and
     only orbits of more than one face get slash matrices for transport; the
-    basis is transported when it is first read. memo holds slash matrices
-    keyed by (word, w) and fixed spaces keyed by (cycle words, w), so calls
-    that share it build each once. Without one, the call shares nothing.
+    basis is transported when it is first read, with the matrices the space
+    keeps in its memo. memo holds slash matrices keyed by (word, w) and fixed
+    spaces keyed by (cycle words, w), so calls that share it build each once.
+    Without one, the call shares nothing.
     """
     w = check_weight(k)
     if memo is None:
         memo = {}
-    # the slash matrix of every non-identity transport word; the identity word
-    # is never built
-    mats: dict[Mat2, SlashMatrix] = {}
     fixed: dict[int, list] = {}
     if augmented:
         dim = (w + 1) * fc.face_count()
-        return LocalPolySpace(fc.disc, k, w, True, fc, orbits, dim, fixed, mats)
+        return LocalPolySpace(fc.disc, k, w, True, fc, orbits, dim, fixed, memo)
 
     def slash(g: Mat2) -> SlashMatrix:
         m = memo.get((g, w))
@@ -256,12 +258,12 @@ def solve_space(
                 fixed[i] = vecs
         # every transport word gets its matrix now: reading the basis later
         # only applies them
-        if len(orb.faces) > 1 and (vecs is None or vecs):
+        if len(orb.words) > 1 and (vecs is None or vecs):
             for g in orb.words.values():
-                if g != IDENTITY and g not in mats:
-                    mats[g] = slash(g)
+                if g != IDENTITY:
+                    slash(g)
     dim = (w + 1) * (len(orbits) - len(fixed)) + sum(map(len, fixed.values()))
-    return LocalPolySpace(fc.disc, k, w, False, fc, orbits, dim, fixed, mats)
+    return LocalPolySpace(fc.disc, k, w, False, fc, orbits, dim, fixed, memo)
 
 
 def check_laws(
@@ -285,7 +287,7 @@ def check_laws(
     if cusp != expect_cusp:
         fails.append(f"D={disc}: cuspFaces={cusp}, expected {expect_cusp}")
     if square and root % 2:
-        cusp_orbits = sum(1 for orb in orbits if not fc.cusp_faces.isdisjoint(orb.faces))
+        cusp_orbits = sum(1 for orb in orbits if not fc.cusp_faces.isdisjoint(orb.words))
         if cusp_orbits != root:
             fails.append(f"D={disc}: cusp orbit count {cusp_orbits}, expected {root}")
 

@@ -48,7 +48,7 @@ def svg_figure(fc: FaceComplex, precision: int = 12) -> str:
         y2 = math.sqrt(float(arc.height_sq(arc.hi)))
         path(f"M {px(x1)} {py(y1)} A {rr} {rr} 0 0 1 {px(x2)} {py(y2)}", "crimson")
     for v in fc.vlines:
-        x = float(v.x)
+        x = float(v)
         foot = math.sqrt(1 - x * x)
         path(f"M {px(x)} {py(foot)} L {px(x)} {py(fc.ycap)}", "crimson")
 

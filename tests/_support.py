@@ -14,6 +14,10 @@ The dimension oracle writes every gluing relation as linear rows over all
 face coefficients at once and takes the nullity by rank modulo primes: no
 orbits, transport words, cycles or fixed spaces.
 
+The quotient oracle counts the orbits with Euler's formula on the sphere
+X(1) from the forms and their clipped intervals alone: no face, gluing edge
+or orbit of the library.
+
 The deficit law gives the dimension from the orbit count and three flags read
 off the forms (does the cusp, i or rho lie on no geodesic), so it shares no
 input with the cycles and fixed spaces the library solves.
@@ -28,7 +32,7 @@ from math import comb, isqrt
 from typing import Iterable
 
 from mlp import S, T, AlgebraicPoint, Mat2, build_arrangement, enumerate_forms, eval_form
-from mlp.geometry import is_square
+from mlp.geometry import is_square, semicircle_interval
 
 HALF = Fraction(1, 2)
 
@@ -128,8 +132,7 @@ def exceptional_points(fc, want: int) -> list[AlgebraicPoint]:
                 pts.append(AlgebraicPoint(x, s))
                 if len(pts) == want:
                     return pts
-        for vl in fc.vlines:
-            x = vl.x
+        for x in fc.vlines:
             smin = 1 - x * x
             s = smin + (fc.cap_sq - smin) * r
             if on_single_form(x, s):
@@ -155,11 +158,11 @@ def euler_counts(fc) -> tuple[int, int]:
     cap = fc.cap_sq
     verts = {(-HALF, Fraction(3, 4)), (HALF, Fraction(3, 4)), (-HALF, cap), (HALF, cap)}
     arc_xs = [{arc.lo, arc.hi} for arc in fc.arcs]
-    vline_ss = [{1 - v.x * v.x, cap} for v in fc.vlines]
+    vline_ss = [{1 - x * x, cap} for x in fc.vlines]
     for arc in fc.arcs:
         verts.update((e, height_sq(arc, e)) for e in (arc.lo, arc.hi))
-    for v in fc.vlines:
-        verts.update({(v.x, 1 - v.x * v.x), (v.x, cap)})
+    for x in fc.vlines:
+        verts.update({(x, 1 - x * x), (x, cap)})
     for i, ai in enumerate(fc.arcs):
         for j in range(i + 1, len(fc.arcs)):
             aj = fc.arcs[j]
@@ -173,11 +176,11 @@ def euler_counts(fc) -> tuple[int, int]:
                 arc_xs[j].add(x)
                 verts.add((x, height_sq(ai, x)))
     for i, arc in enumerate(fc.arcs):
-        for j, v in enumerate(fc.vlines):
-            if arc.lo <= v.x <= arc.hi:
-                arc_xs[i].add(v.x)
-                vline_ss[j].add(height_sq(arc, v.x))
-                verts.add((v.x, height_sq(arc, v.x)))
+        for j, x in enumerate(fc.vlines):
+            if arc.lo <= x <= arc.hi:
+                arc_xs[i].add(x)
+                vline_ss[j].add(height_sq(arc, x))
+                verts.add((x, height_sq(arc, x)))
 
     edges = sum(len(pts) - 1 for pts in arc_xs) + sum(len(ss) - 1 for ss in vline_ss)
     for left in (True, False):
@@ -185,11 +188,99 @@ def euler_counts(fc) -> tuple[int, int]:
         ss = {Fraction(3, 4), cap}
         ss.update(height_sq(a, wall) for a in fc.arcs if (a.lo if left else a.hi) == wall)
         edges += len(ss) - 1
-    cap_pts = {-HALF, HALF} | {v.x for v in fc.vlines}
+    cap_pts = {-HALF, HALF} | set(fc.vlines)
     edges += len(cap_pts) - 1
     touch = {e for arc in fc.arcs for e in (arc.lo, arc.hi) if height_sq(arc, e) == 1 - e * e}
     edges += len(cap_pts | touch) - 1  # unit circle
     return len(verts), edges
+
+
+def quotient_orbit_count(disc: int) -> tuple[int, int]:
+    """(F, C) for the graph G that the geodesics of disc draw on X(1): its
+    faces F, one per orbit, and its connected components C, from Euler's
+    formula V - E + F = 1 + C.
+
+    Gluing the walls by T and the floor by S and adding the cusp turns the
+    strip into the sphere X(1). G's pieces are the clipped arcs, each
+    vertical line (foot to cusp), and the wall (rho to cusp) and the floor
+    (rho to i) when they lie on geodesics. Its vertices are the crossings
+    inside the strip, keyed (x, y^2), and the boundary points up to gluing:
+    a wall point by y^2, a floor point by |x|, rho and the cusp. A piece with
+    n vertices inside it is n + 1 edges.
+    """
+    rho, cusp = ("rho",), ("cusp",)
+
+    def vertex(x, s):
+        if abs(x) == HALF:
+            return rho if s == Fraction(3, 4) else ("wall", s)
+        return ("floor", abs(x)) if x * x + s == 1 else (x, s)
+
+    def height_sq(q, x):
+        return -(q.a * x * x + q.b * x + q.c) / Fraction(q.a)
+
+    arcs, vlines = [], []
+    wall = floor = False
+    for q in enumerate_forms(disc):
+        if q.a == 0:
+            x = Fraction(-q.c, q.b)
+            if abs(x) == HALF:
+                wall = True
+            else:
+                vlines.append(x)
+        elif q.b == 0 and q.c == -q.a:
+            floor = True
+        else:
+            arcs.append((q, *semicircle_interval(q)))
+
+    # along an arc |tau|^2 - 1 = -(bx + a + c)/a is linear in x, so only its
+    # ends lie on the unit circle: two arcs that meet inside one meet inside
+    # both, off the boundary
+    arc_xs = [set() for _ in arcs]
+    vline_ss = [set() for _ in vlines]
+    for i, (qi, lo_i, hi_i) in enumerate(arcs):
+        for j in range(i + 1, len(arcs)):
+            qj, lo_j, hi_j = arcs[j]
+            det = qi.a * qj.b - qj.a * qi.b
+            if det:
+                x = Fraction(qj.a * qi.c - qi.a * qj.c, det)
+                if lo_i < x < hi_i and lo_j < x < hi_j:
+                    arc_xs[i].add(x)
+                    arc_xs[j].add(x)
+        for j, x in enumerate(vlines):
+            if lo_i < x < hi_i:
+                arc_xs[i].add(x)
+                vline_ss[j].add(height_sq(qi, x))
+
+    # each piece lists its two ends, then the vertices inside it
+    pieces = [
+        [vertex(x, height_sq(q, x)) for x in (lo, hi, *xs)]
+        for (q, lo, hi), xs in zip(arcs, arc_xs)
+    ]
+    pieces += [[vertex(x, 1 - x * x), cusp, *((x, s) for s in ss)]
+               for x, ss in zip(vlines, vline_ss)]
+    ends = {v for piece in pieces for v in piece[:2]}
+    if wall:
+        pieces.append([rho, cusp, *(v for v in ends if v[0] == "wall")])
+    if floor:
+        pieces.append([rho, ("floor", 0), *(v for v in ends if v[0] == "floor" and v[1])])
+
+    # vertices numbered as first met, for a union-find over the pieces
+    index: dict = {}
+    pieces = [[index.setdefault(v, len(index)) for v in piece] for piece in pieces]
+    parent = list(range(len(index)))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for first, *rest in pieces:
+        for v in rest:
+            parent[find(v)] = find(first)
+    components = sum(1 for v, p in enumerate(parent) if p == v)
+    edges = sum(len(piece) - 1 for piece in pieces)
+    return 1 + components + edges - len(index), components
 
 
 RANK_PRIMES = (2**61 - 1, 2**31 - 1)
@@ -297,8 +388,10 @@ def arrangement_digest(max_disc: int = 0, discs: Iterable[int] = ()) -> str:
             [(str(s.s_lo), str(s.s_hi), s.face) for s in fc.left_segments],
             [(str(s.s_lo), str(s.s_hi), s.face) for s in fc.right_segments],
             [(str(s.x_lo), str(s.x_hi), s.face) for s in fc.bottom_segments],
-            fc.left_wall_in_e,
-            fc.right_wall_in_e,
-            fc.bottom_in_e,
+            # whether the left wall, the right wall and the floor lie on
+            # geodesics: all three exactly when D is an even square
+            fc.even_square,
+            fc.even_square,
+            fc.even_square,
         )).encode())
     return h.hexdigest()

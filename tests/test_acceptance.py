@@ -105,7 +105,7 @@ def test_criterion_5_cusp_counts():
             assert cusp == root + 1, disc
             orbits = orbits_and_cycles(build_gluing_graph(fc))
             cusp_orbits = sum(
-                1 for o in orbits if any(fc.faces[f].is_cusp for f in o.faces)
+                1 for o in orbits if any(fc.faces[f].is_cusp for f in o.words)
             )
             assert cusp_orbits == root, disc
     print("PASS criterion 5: cusp face counts (1 / sqrt(D) / sqrt(D)+1), D <= 100")

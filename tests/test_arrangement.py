@@ -116,13 +116,13 @@ def test_d5_boundary_segments():
         (-HALF, Fraction(0), 1),
         (Fraction(0), HALF, 2),
     ]
-    assert not (fc.left_wall_in_e or fc.right_wall_in_e or fc.bottom_in_e)
+    assert not fc.even_square
 
 
 def test_d4_boundary_coincides_with_geodesics():
     fc = build_arrangement(4)
     assert fc.left_segments == () and fc.right_segments == () and fc.bottom_segments == ()
-    assert fc.left_wall_in_e and fc.right_wall_in_e and fc.bottom_in_e
+    assert fc.even_square
 
 
 def test_d8_wall_split_at_triple_point():
@@ -218,7 +218,7 @@ def _all_pairs_partition(fc):
             c = parent[c]
         return c
 
-    vline_x = {v.x for v in fc.vlines}
+    vline_x = set(fc.vlines)
     for b in range(1, len(fc.xs) - 1):
         xb = fc.xs[b]
         if xb in vline_x:
@@ -292,7 +292,7 @@ def test_locate_raises_when_point_matches_several_faces(monkeypatch):
 def _fraction_xs(fc) -> list[Fraction]:
     """Critical abscissae from the arcs and vertical lines, with every
     crossing built and range-checked as a Fraction."""
-    crit = {-HALF, HALF, Fraction(0)} | {v.x for v in fc.vlines}
+    crit = {-HALF, HALF, Fraction(0), *fc.vlines}
     for arc in fc.arcs:
         crit |= {arc.lo, arc.hi}
         apex = Fraction(-arc.b, 2 * arc.a)

@@ -173,6 +173,17 @@ def test_discriminant_validation():
             check_discriminant(bad)
 
 
+def test_boundary_on_geodesics_iff_even_square():
+    # [a, 0, -a] has D = 4a^2, and a vertical line x = -c/b = +-1/2 needs
+    # b = sqrt(D) even: the floor and both walls lie on geodesics together,
+    # exactly when D is an even square
+    for disc in (d for d in range(1, 2001) if d % 4 in (0, 1)):
+        forms = enumerate_forms(disc)
+        floor = any(q.a and q.b == 0 and q.c == -q.a for q in forms)
+        walls = {Fraction(-q.c, q.b) for q in forms if not q.a}
+        assert floor == (-HALF in walls) == (HALF in walls) == is_even_square(disc), disc
+
+
 def test_is_even_square():
     assert [d for d in range(1, 101) if is_even_square(d)] == [4, 16, 36, 64, 100]
 

@@ -21,6 +21,8 @@ from mlp import (
 from mlp.gluing import GluingMismatch
 from mlp.polyspace import fixed_space, slash_matrix
 
+from _support import quotient_orbit_count
+
 HALF = Fraction(1, 2)
 MINUS_I = Mat2(-1, 0, 0, -1)
 
@@ -54,7 +56,7 @@ def test_d8_edges_and_orbits():
         (2, 3, S),
     }
     orbits = orbits_and_cycles(graph)
-    assert [sorted(o.faces) for o in orbits] == [[0], [1], [2, 3]]
+    assert [sorted(o.words) for o in orbits] == [[0], [1], [2, 3]]
     # the lens face carries no matching condition at all
     assert orbits[1].cycles == ()
 
@@ -109,15 +111,31 @@ def test_gluing_rejects_unpaired_boundary(side, message):
 
 
 def test_orbit_words_start_at_root():
+    # the root is an orbit's least face and its first key, with the identity
+    # word; the orbits partition the faces in order of their roots
     for disc in (5, 8, 9, 13):
-        for orb in orbits_and_cycles(_graph(disc)):
-            assert orb.words[orb.root] == IDENTITY
-            assert sorted(orb.words) == sorted(orb.faces)
+        graph = _graph(disc)
+        orbits = orbits_and_cycles(graph)
+        roots = [next(iter(orb.words)) for orb in orbits]
+        assert roots == sorted(roots)
+        for root, orb in zip(roots, orbits):
+            assert orb.words[root] == IDENTITY
+            assert root == min(orb.words)
+        assert sorted(f for orb in orbits for f in orb.words) == list(range(graph.n_faces))
+
+
+def test_orbit_count_matches_quotient_oracle():
+    # the oracle reads only the forms and their clipped intervals; a graph G
+    # on X(1) in more than one piece would be a finding, not a count to trust
+    for disc in [*(d for d in range(1, 401) if d % 4 in (0, 1)), 1201, 2001, 2500]:
+        count, components = quotient_orbit_count(disc)
+        assert components == 1, disc
+        assert len(orbits_and_cycles(_graph(disc))) == count, disc
 
 
 def test_d5_cycle_has_order_three():
     orbits = orbits_and_cycles(_graph(5))
-    assert [sorted(o.faces) for o in orbits] == [[0], [1, 2]]
+    assert [sorted(o.words) for o in orbits] == [[0], [1, 2]]
     top, pair = orbits
     assert top.cycles == (T,)
     (gamma,) = pair.cycles
@@ -134,7 +152,7 @@ def test_orbit_data_invariant_under_face_relabeling():
     for disc in (5, 8, 9, 12, 13, 16):
         graph = _graph(disc)
         orbits = orbits_and_cycles(graph)
-        partition = sorted(tuple(sorted(o.faces)) for o in orbits)
+        partition = sorted(tuple(sorted(o.words)) for o in orbits)
 
         def orbit_dims(orbs, w):
             return sorted(
@@ -149,7 +167,7 @@ def test_orbit_data_invariant_under_face_relabeling():
             )
             rorbits = orbits_and_cycles(GluingGraph(graph.n_faces, redges))
             rpartition = sorted(
-                tuple(sorted(perm.index(f) for f in o.faces)) for o in rorbits
+                tuple(sorted(perm.index(f) for f in o.words)) for o in rorbits
             )
             assert rpartition == partition
             for w in (2, 4):

@@ -342,6 +342,18 @@ def test_basis_read_runs_no_elimination(monkeypatch):
     assert space.basis is basis  # transported once
 
 
+def test_basis_refuses_a_missing_transport_matrix():
+    # read as the identity, a missing matrix would give a basis of the right
+    # length with wrong vectors
+    space = compute_space(33, -4)
+    word = next(
+        g for words, vecs in space.roots if vecs for g in words.values() if g != IDENTITY
+    )
+    del space.memo[(word, space.w)]
+    with pytest.raises(KeyError):
+        space.basis
+
+
 def test_basis_transports_each_word_and_vector_once(monkeypatch):
     calls = []
     apply = SlashMatrix.apply
@@ -442,7 +454,7 @@ def test_check_laws_reports_cusp_counts(monkeypatch):
     # an odd square has sqrt(D) + 1 cusp faces in sqrt(D) orbits
     fc, orbits = _laws_input(9)
     assert check_laws(fc, orbits, []) == []
-    cusp_orbit = next(o for o in orbits if any(fc.faces[f].is_cusp for f in o.faces))
+    cusp_orbit = next(o for o in orbits if any(fc.faces[f].is_cusp for f in o.words))
     fewer = tuple(o for o in orbits if o is not cusp_orbit)
     assert check_laws(fc, fewer, []) == ["D=9: cusp orbit count 2, expected 3"]
     monkeypatch.setattr(fc, "cusp_face_count", lambda: 3)

@@ -39,6 +39,27 @@ def test_no_indenting_json_encoder():
     assert found == []
 
 
+def test_no_unused_imports():
+    # every name a module imports is used in it; __init__ re-exports its
+    # imports, and a __future__ import is a directive
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import) or (
+                isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            ):
+                found += [
+                    f"{path.name}:{node.lineno} {alias.name}"
+                    for alias in node.names
+                    if (alias.asname or alias.name).partition(".")[0] not in used
+                ]
+    assert found == []
+
+
 def _traced_locations() -> list[str]:
     """The `module:attr.path` names the benchmark's tracer wraps, read from
     the PATCHES table in benchmark/spans.py."""
