@@ -101,13 +101,6 @@ class BottomSegment:
 
 
 @dataclass(frozen=True)
-class Face:
-    index: int
-    sample: AlgebraicPoint
-    is_cusp: bool  # has a run under the cap (unbounded component)
-
-
-@dataclass(frozen=True)
 class OnExceptional:
     """locate() result for a point on the exceptional set: adjacent faces."""
 
@@ -128,7 +121,6 @@ class FaceComplex:
         elif ycap < floor_cap:
             raise ValueError(f"cap {ycap} does not clear the arcs (need >= {floor_cap})")
         self.ycap = ycap
-        self.cap_sq = Fraction(self.ycap * self.ycap)
 
         # the floor [a, 0, -a] and the walls x = +-1/2 are geodesics exactly
         # when D is an even square; they bound the domain and cut nothing
@@ -390,16 +382,16 @@ class FaceComplex:
     # -- queries --------------------------------------------------------
 
     @cached_property
-    def faces(self) -> tuple[Face, ...]:
-        """Each face sampled at the middle of its first run's cell."""
-        faces = []
-        for fid, r in enumerate(self._first_run):
+    def samples(self) -> tuple[AlgebraicPoint, ...]:
+        """Per face id, a point inside it: the middle of its first run's cell."""
+        samples = []
+        for r in self._first_run:
             si, _, below, above = self._runs[r]
             m = (self.xs[si] + self.xs[si + 1]) / 2
             lo, hi = self._heights((below, above), m.numerator, m.denominator)
             mid = Fraction(lo + hi, 2 * m.denominator ** 2 * self._lcm_a)
-            faces.append(Face(fid, AlgebraicPoint(m, mid), fid in self.cusp_faces))
-        return tuple(faces)
+            samples.append(AlgebraicPoint(m, mid))
+        return tuple(samples)
 
     @cached_property
     def _rows(self) -> tuple[list[tuple[int, ...]], list[list[int]]]:
@@ -441,7 +433,7 @@ class FaceComplex:
         if x < -HALF or x > HALF or x * x + s < 1:
             raise OutOfRegion(f"({x}, {s}) outside the fundamental strip")
         on_exc = any(eval_form(q, p) == 0 for q in self.forms)
-        s_eff = min(s, self.cap_sq) * x.denominator ** 2 * self._lcm_a
+        s_eff = min(s, self.ycap ** 2) * x.denominator ** 2 * self._lcm_a
         i = bisect_left(self.xs, x)
         if i < len(self.xs) and self.xs[i] == x:
             cand = [si for si in (i - 1, i) if 0 <= si <= len(self.xs) - 2]

@@ -13,6 +13,7 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
@@ -52,10 +53,13 @@ def _store(path: str, text: str) -> None:
         print(f"warning: cache record {path} not written: {exc}", file=sys.stderr)
 
 
+_COEFF = re.compile(r"-?[0-9]+/[1-9][0-9]*")  # a coefficient as frac_str spells it
+
+
 def _answers(rec: ResultRecord, disc: int, k: int, augmented: bool) -> bool:
     """Whether a parsed cache record answers this query: its key fields equal
     the query's with their JSON types (5.0 is not 5, 0 is not false), and its
-    basis is dim objects mapping face numbers to lists of "p/q" strings."""
+    basis is dim objects mapping face numbers to lists of 1 - k "p/q" strings."""
     basis = rec["basis"]
     key = (rec["D"], rec["k"], rec["flags"]["augmented"], rec["toolVersion"], rec["dim"])
     if (
@@ -65,12 +69,14 @@ def _answers(rec: ResultRecord, disc: int, k: int, augmented: bool) -> bool:
         or not {dict}.issuperset(map(type, basis))
     ):
         return False
-    # type checks run over flat iterators: a warm hit walks every coefficient
+    # a warm hit walks every coefficient once and spells only the distinct ones;
+    # a non-string makes set() or the match raise TypeError, refusing the record
     coeffs = list(chain.from_iterable(map(dict.values, basis)))
     return (
         all(map(str.isdecimal, chain.from_iterable(basis)))
         and {list}.issuperset(map(type, coeffs))
-        and {str}.issuperset(map(type, chain.from_iterable(coeffs)))
+        and {1 - k}.issuperset(map(len, coeffs))
+        and all(map(_COEFF.fullmatch, set(chain.from_iterable(coeffs))))
     )
 
 
@@ -130,9 +136,10 @@ def cmd_faces(args: argparse.Namespace) -> int:
     fc = build_arrangement(args.disc)
     # laid out as json.dumps(indent=2) would; the "p/q" samples need no escaping
     faces = []
-    for f in fc.faces:
-        sample = _layout([f'"{frac_str(f.sample.x)}"', f'"{frac_str(f.sample.s)}"'], " " * 6)
-        items = [f'"id": {f.index}', f'"sample": {sample}', f'"cusp": {json.dumps(f.is_cusp)}']
+    for fid, p in enumerate(fc.samples):
+        sample = _layout([f'"{frac_str(p.x)}"', f'"{frac_str(p.s)}"'], " " * 6)
+        cusp = json.dumps(fid in fc.cusp_faces)
+        items = [f'"id": {fid}', f'"sample": {sample}', f'"cusp": {cusp}']
         faces.append(_layout(items, " " * 4, "{}"))
     # the floor and the walls lie on geodesics exactly when D is an even square
     flag = json.dumps(fc.even_square)
@@ -239,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("faces", help="face counts, flags, optional SVG")
     p.add_argument("--disc", type=int, required=True)
     p.add_argument("--svg", metavar="PATH", help="write a picture of the decomposition")
-    p.add_argument("--precision", type=int, default=12, help="significant digits in the SVG")
+    p.add_argument("--precision", type=_positive_int, default=12, help="SVG significant digits")
     p.set_defaults(func=cmd_faces)
 
     p = sub.add_parser("sweep", help="verify the dimension laws over a range")

@@ -365,6 +365,8 @@ class ExactComplex:
         return self.u == other.u and v1 == v2
 
     def __hash__(self) -> int:
+        if self.v == 0:
+            return hash(self.u)  # equal to the int or Fraction it equals
         sign = (self.v > 0) - (self.v < 0)
         return hash((self.u, self.v * self.v * self.s, sign))
 

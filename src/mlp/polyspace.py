@@ -54,18 +54,17 @@ class SlashMatrix:
     """Matrix of P -> P|g on coefficient vectors; composition reverses order:
     slash_matrix(g @ h, w) == slash_matrix(h, w) @ slash_matrix(g, w)."""
 
-    mat: tuple[tuple[int, ...], ...]
-    w: int
+    mat: tuple[tuple[int, ...], ...]  # (w+1) x (w+1): its size is the weight
 
     def __matmul__(self, other: "SlashMatrix") -> "SlashMatrix":
-        if self.w != other.w:
+        n = len(self.mat)
+        if len(other.mat) != n:
             raise InvalidWeight("weight mismatch in slash composition")
-        n = self.w + 1
         prod = tuple(
             tuple(sum(self.mat[i][t] * other.mat[t][j] for t in range(n)) for j in range(n))
             for i in range(n)
         )
-        return SlashMatrix(prod, self.w)
+        return SlashMatrix(prod)
 
     def apply(self, vec: Sequence[Union[Fraction, int]]) -> tuple[Fraction, ...]:
         # integer dot products over one common denominator, one Fraction per
@@ -87,7 +86,7 @@ def slash_matrix(g: Mat2, w: int) -> SlashMatrix:
         down.append(_poly_mul(down[-1], [g.d, g.c]))
     cols = [_poly_mul(up[j], down[w - j]) for j in range(w + 1)]
     mat = tuple(tuple(cols[j][i] for j in range(w + 1)) for i in range(w + 1))
-    return SlashMatrix(mat, w)
+    return SlashMatrix(mat)
 
 
 def _units(w: int) -> list[tuple[Fraction, ...]]:
@@ -109,7 +108,7 @@ def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fracti
     n = w + 1
     rows: list[list[int]] = []
     for m in constraints:
-        if m.w != w:
+        if len(m.mat) != n:
             raise InvalidWeight("constraint weight does not match")
         for i in range(n):
             row = [m.mat[i][j] - (i == j) for j in range(n)]
@@ -160,9 +159,7 @@ class LocalPolySpace:
     basis is read-only.
     """
 
-    disc: int
     k: int
-    w: int
     augmented: bool
     complex: FaceComplex
     orbits: tuple[Orbit, ...]
@@ -173,6 +170,10 @@ class LocalPolySpace:
     # the memo solve_space filled: the slash matrix of every non-identity word
     # the transport reads, keyed by (word, w)
     memo: dict = field(repr=False, compare=False)
+
+    @property
+    def w(self) -> int:
+        return -self.k
 
     @property
     def bound(self) -> int:
@@ -239,7 +240,7 @@ def solve_space(
     fixed: dict[int, list] = {}
     if augmented:
         dim = (w + 1) * fc.face_count()
-        return LocalPolySpace(fc.disc, k, w, True, fc, orbits, dim, fixed, memo)
+        return LocalPolySpace(k, True, fc, orbits, dim, fixed, memo)
 
     def slash(g: Mat2) -> SlashMatrix:
         m = memo.get((g, w))
@@ -263,7 +264,7 @@ def solve_space(
                 if g != IDENTITY:
                     slash(g)
     dim = (w + 1) * (len(orbits) - len(fixed)) + sum(map(len, fixed.values()))
-    return LocalPolySpace(fc.disc, k, w, False, fc, orbits, dim, fixed, memo)
+    return LocalPolySpace(k, False, fc, orbits, dim, fixed, memo)
 
 
 def check_laws(

@@ -74,7 +74,7 @@ class ResultRecord(dict):
             return out
 
         return cls(
-            D=space.disc,
+            D=fc.disc,
             k=space.k,
             forms=[[q.a, q.b, q.c] for q in fc.forms],
             rF=fc.face_count(),

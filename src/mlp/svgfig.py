@@ -11,7 +11,7 @@ SCALE = 360.0  # pixels per unit of the upper half-plane
 
 def svg_figure(fc: FaceComplex, precision: int = 12) -> str:
     pad = 0.1
-    y_bot = math.sqrt(3) / 2 - pad
+    ch = math.sqrt(3) / 2  # corner height
     y_top = fc.ycap + pad
     x_min = -0.5 - pad
 
@@ -25,8 +25,7 @@ def svg_figure(fc: FaceComplex, precision: int = 12) -> str:
         return fmt((y_top - y) * SCALE)
 
     width = px(0.5 + pad)
-    height = py(y_bot)
-    ch = math.sqrt(3) / 2  # corner height
+    height = py(ch - pad)
 
     paths = []
 
@@ -53,12 +52,10 @@ def svg_figure(fc: FaceComplex, precision: int = 12) -> str:
         path(f"M {px(x)} {py(foot)} L {px(x)} {py(fc.ycap)}", "crimson")
 
     labels = []
-    for face in fc.faces:
-        lx = px(float(face.sample.x))
-        ly = py(math.sqrt(float(face.sample.s)))
-        labels.append(
-            f'<text x="{lx}" y="{ly}" font-size="14" text-anchor="middle">{face.index}</text>'
-        )
+    for fid, p in enumerate(fc.samples):
+        lx = px(float(p.x))
+        ly = py(math.sqrt(float(p.s)))
+        labels.append(f'<text x="{lx}" y="{ly}" font-size="14" text-anchor="middle">{fid}</text>')
 
     body = "\n".join(paths + labels)
     return (

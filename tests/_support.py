@@ -128,13 +128,13 @@ def exceptional_points(fc, want: int) -> list[AlgebraicPoint]:
         for arc in fc.arcs:
             x = arc.lo + (arc.hi - arc.lo) * r
             s = arc.height_sq(x)
-            if 1 - x * x < s < fc.cap_sq and on_single_form(x, s):
+            if 1 - x * x < s < fc.ycap ** 2 and on_single_form(x, s):
                 pts.append(AlgebraicPoint(x, s))
                 if len(pts) == want:
                     return pts
         for x in fc.vlines:
             smin = 1 - x * x
-            s = smin + (fc.cap_sq - smin) * r
+            s = smin + (fc.ycap ** 2 - smin) * r
             if on_single_form(x, s):
                 pts.append(AlgebraicPoint(x, s))
                 if len(pts) == want:
@@ -155,7 +155,7 @@ def euler_counts(fc) -> tuple[int, int]:
         # a(x^2 + y^2) + bx + c = 0 solved for y^2
         return -(arc.a * x * x + arc.b * x + arc.c) / Fraction(arc.a)
 
-    cap = fc.cap_sq
+    cap = fc.ycap ** 2
     verts = {(-HALF, Fraction(3, 4)), (HALF, Fraction(3, 4)), (-HALF, cap), (HALF, cap)}
     arc_xs = [{arc.lo, arc.hi} for arc in fc.arcs]
     vline_ss = [{1 - x * x, cap} for x in fc.vlines]
@@ -384,7 +384,7 @@ def arrangement_digest(max_disc: int = 0, discs: Iterable[int] = ()) -> str:
         h.update(repr((
             d,
             [list(r) for r in fc.face_of],
-            [(f.index, str(f.sample.x), str(f.sample.s), f.is_cusp) for f in fc.faces],
+            [(i, str(p.x), str(p.s), i in fc.cusp_faces) for i, p in enumerate(fc.samples)],
             [(str(s.s_lo), str(s.s_hi), s.face) for s in fc.left_segments],
             [(str(s.s_lo), str(s.s_hi), s.face) for s in fc.right_segments],
             [(str(s.x_lo), str(s.x_hi), s.face) for s in fc.bottom_segments],

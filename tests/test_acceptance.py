@@ -104,9 +104,7 @@ def test_criterion_5_cusp_counts():
         else:
             assert cusp == root + 1, disc
             orbits = orbits_and_cycles(build_gluing_graph(fc))
-            cusp_orbits = sum(
-                1 for o in orbits if any(fc.faces[f].is_cusp for f in o.words)
-            )
+            cusp_orbits = sum(1 for o in orbits if not fc.cusp_faces.isdisjoint(o.words))
             assert cusp_orbits == root, disc
     print("PASS criterion 5: cusp face counts (1 / sqrt(D) / sqrt(D)+1), D <= 100")
 

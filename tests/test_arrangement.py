@@ -55,7 +55,7 @@ def test_cap_is_minimal_integer_above_arcs():
         assert 4 * (fc.ycap - 1) ** 2 <= disc
         # no arc reaches the cap
         for arc in fc.arcs:
-            assert Fraction(disc, 4 * arc.a * arc.a) < fc.cap_sq
+            assert Fraction(disc, 4 * arc.a * arc.a) < fc.ycap ** 2
 
 
 def test_cap_override_validation():
@@ -69,7 +69,7 @@ def test_cap_override_validation():
 def test_d5_face_layout():
     fc = build_arrangement(5)
     assert fc.face_count() == 3
-    assert fc.faces[0].is_cusp and not fc.faces[1].is_cusp and not fc.faces[2].is_cusp
+    assert fc.cusp_faces == {0}
     assert fc.locate(AlgebraicPoint(0, 2)) == 0
     assert fc.locate(AlgebraicPoint(Fraction(-1, 4), 1)) == 1
     assert fc.locate(AlgebraicPoint(Fraction(1, 4), 1)) == 2
@@ -81,8 +81,8 @@ def test_d5_face_layout():
 def test_locate_samples_roundtrip():
     for disc in [d for d in ALL_DISCS if d <= 50]:
         fc = build_arrangement(disc)
-        for face in fc.faces:
-            assert fc.locate(face.sample) == face.index
+        for fid, p in enumerate(fc.samples):
+            assert fc.locate(p) == fid
 
 
 def test_locate_above_cap_clamps_to_cusp_face():
@@ -185,7 +185,7 @@ def test_exceptional_faces_are_real_neighbors():
         for arc in fc.arcs:
             x = (arc.lo + arc.hi * 3) / 4
             s = arc.height_sq(x)
-            if s <= 1 - x * x or s >= fc.cap_sq:
+            if s <= 1 - x * x or s >= fc.ycap ** 2:
                 continue
             p = AlgebraicPoint(x, s)
             others = sum(
@@ -211,7 +211,7 @@ def _all_pairs_partition(fc):
     parent = {}
 
     def stack(si, x):
-        return [1 - x * x, *(fc.arcs[k].height_sq(x) for k in fc.slab_arcs[si]), fc.cap_sq]
+        return [1 - x * x, *(fc.arcs[k].height_sq(x) for k in fc.slab_arcs[si]), fc.ycap ** 2]
 
     def find(c):
         while parent.setdefault(c, c) != c:

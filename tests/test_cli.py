@@ -146,7 +146,7 @@ def test_faces_summary(capsys):
         x = Fraction(entry["sample"][0])
         s = Fraction(entry["sample"][1])
         assert fc.locate(AlgebraicPoint(x, s)) == entry["id"]
-        assert entry["cusp"] == fc.faces[entry["id"]].is_cusp
+        assert entry["cusp"] == (entry["id"] in fc.cusp_faces)
 
 
 # sha256 of `mlp faces --disc D` stdout, taken with the all-pairs Fraction
@@ -302,6 +302,14 @@ def _corrupt(text: str, case: str) -> str:
         obj["flags"]["augmented"] = 0
     elif case == "coefficient is a number":
         obj["basis"][0]["0"][0] = 1
+    elif case == "coefficient is a list":
+        obj["basis"][0]["0"][0] = ["1/1"]
+    elif case == "coefficient is not p/q":
+        obj["basis"][0]["0"] = ["1/0", "x", "-"]
+    elif case == "coefficient has a tail":
+        obj["basis"][0]["0"][0] += " X"
+    elif case == "wrong coefficient count":
+        obj["basis"][0]["0"] = ["1/1"]
     else:
         obj[case] -= 4  # D or k: the record of another valid query
     return json.dumps(obj, indent=2) + "\n"
@@ -311,7 +319,8 @@ def _corrupt(text: str, case: str) -> str:
     "case",
     ["truncated", "not an object", "D", "k", "flags.augmented", "toolVersion",
      "dim", "dim != len(basis)", "basis is a string", "D is a float",
-     "flags.augmented is 0", "coefficient is a number"],
+     "flags.augmented is 0", "coefficient is a number", "coefficient is a list",
+     "coefficient is not p/q", "coefficient has a tail", "wrong coefficient count"],
 )
 def test_cache_record_that_does_not_answer_is_refused(capsys, tmp_path, monkeypatch, case):
     monkeypatch.setenv("MLP_CACHE_DIR", str(tmp_path))
@@ -513,6 +522,15 @@ def test_sweep_rejects_nonpositive_jobs(capsys, jobs):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "usage:" in err and "--jobs" in err
+
+
+@pytest.mark.parametrize("precision", ["0", "-1"])
+def test_faces_rejects_nonpositive_precision(capsys, precision):
+    with pytest.raises(SystemExit) as exc:
+        main(["faces", "--disc", "5", "--precision", precision])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err and "--precision" in err
 
 
 @pytest.mark.parametrize("max_disc", ["0", "-2"])

@@ -370,6 +370,33 @@ def test_exact_complex_radicand_rescaling():
     assert mixed == ExactComplex(2, 3, 3)
 
 
+def test_exact_complex_equals_and_hashes_as_rationals():
+    three = ExactComplex(3)
+    assert three == 3 and three == Fraction(3)
+    assert hash(three) == hash(3) == hash(Fraction(3))
+    assert len({three, 3, Fraction(3)}) == 1
+    assert ExactComplex(HALF) == HALF and hash(ExactComplex(HALF)) == hash(HALF)
+    assert ExactComplex(3, 1, 2) != 3
+    assert (three == "3") is False  # no coercion from str
+    assert three.__eq__("3") is NotImplemented
+
+
+def test_exact_complex_incompatible_radicands():
+    # i sqrt(2) and i sqrt(3) share no radicand: unequal, and not addable
+    r2, r3 = ExactComplex(0, 1, 2), ExactComplex(0, 1, 3)
+    assert r2 != r3 and (r2 == r3) is False
+    with pytest.raises(ValueError, match="incompatible radicands"):
+        r2 + r3
+
+
+def test_exact_complex_reflected_subtraction_and_repr():
+    z = ExactComplex(Fraction(1, 3), Fraction(1, 2), 5)
+    assert 2 - z == ExactComplex(Fraction(5, 3), Fraction(-1, 2), 5)
+    assert 2 - z == -(z - 2)
+    assert repr(ExactComplex(Fraction(-1, 2))) == "ExactComplex(-1/2)"
+    assert repr(z) == "ExactComplex(1/3 + 1/2*i*sqrt(5))"
+
+
 def _to_complex(z: ExactComplex) -> complex:
     return complex(float(z.u), float(z.v) * math.sqrt(float(z.s)))
 

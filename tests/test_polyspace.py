@@ -15,6 +15,7 @@ from mlp import (
     InvalidDiscriminant,
     InvalidWeight,
     Mat2,
+    Orbit,
     build_arrangement,
     build_gluing_graph,
     check_laws,
@@ -64,7 +65,7 @@ def test_check_weight():
 
 def _reference_apply(m, vec) -> tuple[Fraction, ...]:
     """Plain Fraction mat-vec, the reference for SlashMatrix.apply."""
-    n = m.w + 1
+    n = len(m.mat)
     return tuple(sum((m.mat[i][j] * Fraction(vec[j]) for j in range(n)), Fraction(0))
                  for i in range(n))
 
@@ -210,7 +211,7 @@ def _low_rank_constraint(rng, w):
         tuple(int(i == j) + sum(a[i][t] * b[t][j] for t in range(r)) for j in range(n))
         for i in range(n)
     )
-    return SlashMatrix(mat, w)
+    return SlashMatrix(mat)
 
 
 def test_fixed_space_matches_fraction_reference():
@@ -354,6 +355,32 @@ def test_basis_refuses_a_missing_transport_matrix():
         space.basis
 
 
+def test_empty_joint_fixed_space():
+    # only the constants at w = 0 are fixed by both S and T: for w > 0 a root
+    # with both cycles carries no vector and adds nothing to dim or basis
+    for w, n in ((0, 1), (2, 0), (4, 0), (12, 0)):
+        assert len(fixed_space([slash_matrix(S, w), slash_matrix(T, w)], w)) == n, w
+    fc = build_arrangement(5)
+    orbits = (Orbit({0: IDENTITY, 1: T.inv()}, (S, T)), Orbit({2: IDENTITY}, ()))
+    space = solve_space(fc, orbits, -2)
+    assert space.fixed == {0: []}
+    assert space.dim == 3 == len(space.basis)
+    assert all(set(elem) == {2} for elem in space.basis)
+    # the orbit with no root vector transports nothing
+    assert (T.inv(), 2) not in space.memo
+
+
+def test_matrices_of_another_size_are_refused():
+    # a slash matrix's size is its weight, w + 1
+    m2, m4 = slash_matrix(S, 2), slash_matrix(S, 4)
+    with pytest.raises(InvalidWeight):
+        fixed_space([m2], 4)
+    with pytest.raises(InvalidWeight):
+        fixed_space([m4, m2], 4)
+    with pytest.raises(InvalidWeight):
+        m2 @ m4
+
+
 def test_basis_transports_each_word_and_vector_once(monkeypatch):
     calls = []
     apply = SlashMatrix.apply
@@ -454,7 +481,7 @@ def test_check_laws_reports_cusp_counts(monkeypatch):
     # an odd square has sqrt(D) + 1 cusp faces in sqrt(D) orbits
     fc, orbits = _laws_input(9)
     assert check_laws(fc, orbits, []) == []
-    cusp_orbit = next(o for o in orbits if any(fc.faces[f].is_cusp for f in o.words))
+    cusp_orbit = next(o for o in orbits if not fc.cusp_faces.isdisjoint(o.words))
     fewer = tuple(o for o in orbits if o is not cusp_orbit)
     assert check_laws(fc, fewer, []) == ["D=9: cusp orbit count 2, expected 3"]
     monkeypatch.setattr(fc, "cusp_face_count", lambda: 3)
