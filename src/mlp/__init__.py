@@ -29,7 +29,6 @@ from .gluing import GluingEdge, GluingGraph, Orbit, build_gluing_graph, orbits_a
 from .polyspace import (
     InvalidWeight,
     LocalPolySpace,
-    OutOfDomain,
     check_laws,
     compute_space,
     evaluate,
@@ -55,7 +54,6 @@ __all__ = [
     "Mat2",
     "OnExceptional",
     "Orbit",
-    "OutOfDomain",
     "OutOfRegion",
     "QuadForm",
     "ResultRecord",

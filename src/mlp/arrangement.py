@@ -52,7 +52,6 @@ from .geometry import (
     HALF,
     AlgebraicPoint,
     QuadForm,
-    check_discriminant,
     enumerate_forms,
     eval_form,
     is_even_square,
@@ -111,7 +110,6 @@ class FaceComplex:
     """Faces of the capped domain cut by the geodesics of one discriminant."""
 
     def __init__(self, disc: int, ycap: Optional[int] = None):
-        check_discriminant(disc)
         self.disc = disc
         self.forms: tuple[QuadForm, ...] = tuple(enumerate_forms(disc))
         self.even_square = is_even_square(disc)

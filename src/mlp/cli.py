@@ -18,6 +18,7 @@ import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from itertools import chain
+from math import gcd
 
 from . import __version__
 from .arrangement import build_arrangement
@@ -53,31 +54,40 @@ def _store(path: str, text: str) -> None:
         print(f"warning: cache record {path} not written: {exc}", file=sys.stderr)
 
 
-_COEFF = re.compile(r"-?[0-9]+/[1-9][0-9]*")  # a coefficient as frac_str spells it
+# face keys, joined by commas, and a coefficient as frac_str spells them
+_FACES = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+_COEFF = re.compile(r"(-?[1-9][0-9]*|0)/([1-9][0-9]*)")
 
 
 def _answers(rec: ResultRecord, disc: int, k: int, augmented: bool) -> bool:
     """Whether a parsed cache record answers this query: its key fields equal
-    the query's with their JSON types (5.0 is not 5, 0 is not false), and its
-    basis is dim objects mapping face numbers to lists of 1 - k "p/q" strings."""
+    the query's with their JSON types (5.0 is not 5, 0 is not false), rF,
+    cuspFaces and orbitCount are ints, and its basis is dim objects mapping
+    face numbers below rF to lists of 1 - k "p/q" strings in lowest terms."""
     basis = rec["basis"]
     key = (rec["D"], rec["k"], rec["flags"]["augmented"], rec["toolVersion"], rec["dim"])
+    counts = (rec["rF"], rec["cuspFaces"], rec["orbitCount"])
     if (
         key != (disc, k, augmented, __version__, len(basis))
-        or tuple(map(type, key)) != (int, int, bool, str, int)
+        or tuple(map(type, key + counts)) != (int, int, bool, str, int, int, int, int)
         or type(basis) is not list
         or not {dict}.issuperset(map(type, basis))
     ):
         return False
-    # a warm hit walks every coefficient once and spells only the distinct ones;
-    # a non-string makes set() or the match raise TypeError, refusing the record
+    # a warm hit walks every key and coefficient once and reads only the
+    # distinct ones; a non-string makes join(), set() or the match raise
+    # TypeError, refusing the record
+    faces = set().union(*basis)
+    if not (_FACES.fullmatch(",".join(faces)) and max(map(int, faces)) < rec["rF"]):
+        return False
     coeffs = list(chain.from_iterable(map(dict.values, basis)))
-    return (
-        all(map(str.isdecimal, chain.from_iterable(basis)))
-        and {list}.issuperset(map(type, coeffs))
-        and {1 - k}.issuperset(map(len, coeffs))
-        and all(map(_COEFF.fullmatch, set(chain.from_iterable(coeffs))))
-    )
+    if not ({list}.issuperset(map(type, coeffs)) and {1 - k}.issuperset(map(len, coeffs))):
+        return False
+    for spelt in set(chain.from_iterable(coeffs)):
+        m = _COEFF.fullmatch(spelt)
+        if m is None or gcd(int(m[1]), int(m[2])) != 1:
+            return False
+    return True
 
 
 def _record(disc: int, k: int, augmented: bool) -> tuple[str, ResultRecord]:

@@ -14,8 +14,8 @@ of the sweep's boundary.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arrangement import FaceComplex
 from .geometry import IDENTITY, Mat2, S, T
@@ -63,13 +63,13 @@ def build_gluing_graph(fc: FaceComplex) -> GluingGraph:
     return GluingGraph(fc.face_count(), tuple(edges))
 
 
-@dataclass
-class Orbit:
+class Orbit(NamedTuple):
     """A connected component of the gluing graph, rooted at its least face.
 
     words maps each face f, in walk order from the root (its first key), to
     the word that transports the root polynomial there (P_f = P_root | words[f]);
-    cycles are the words g with P_root = P_root | g, one per non-tree edge.
+    cycles are the words g with P_root = P_root | g, one per non-tree edge, in
+    edge order.
     """
 
     words: dict[int, Mat2]
@@ -77,49 +77,42 @@ class Orbit:
 
 
 def orbits_and_cycles(graph: GluingGraph) -> tuple[Orbit, ...]:
-    n = graph.n_faces
-    adj: list[list[tuple[int, Mat2, bool, int]]] = [[] for _ in range(n)]
+    # the faces on some edge, each with its (edge index, neighbour, forward)
+    # in edge order; a self-loop is listed once
+    adj: dict[int, list[tuple[int, int, bool]]] = {}
     for ei, e in enumerate(graph.edges):
-        adj[e.src].append((e.dst, e.gen, True, ei))
-        adj[e.dst].append((e.src, e.gen, False, ei))
+        adj.setdefault(e.src, []).append((ei, e.dst, True))
+        if e.dst != e.src:
+            adj.setdefault(e.dst, []).append((ei, e.src, False))
 
-    comp = [-1] * n
     orbits: list[Orbit] = []
-    tree: set[int] = set()
-    for root in range(n):
-        if comp[root] >= 0:
-            continue
-        cid = len(orbits)
-        comp[root] = cid
-        if not adj[root]:
+    # every walked face's place in walk order, across the orbits
+    rank: dict[int, int] = {}
+    for root in range(graph.n_faces):
+        if root not in adj:
             # a face on no gluing edge is an orbit by itself, with no walk
             orbits.append(Orbit({root: IDENTITY}, ()))
             continue
-        words = {root: IDENTITY}
-        queue = deque([root])
-        while queue:
-            cur = queue.popleft()
-            for nbr, gen, fwd, ei in adj[cur]:
-                if comp[nbr] >= 0:
-                    continue
-                comp[nbr] = cid
-                # edge relation P_src = P_dst | gen, so crossing it forward
-                # multiplies the word by gen^-1, backwards by gen
-                words[nbr] = words[cur] @ (gen.inv() if fwd else gen)
-                tree.add(ei)
-                queue.append(nbr)
-        orbits.append(Orbit(words, ()))
-
-    # only orbits with a non-tree edge get cycles; the rest keep ()
-    cycles: dict[int, list[Mat2]] = {}
-    for ei, e in enumerate(graph.edges):
-        if ei in tree:
+        if root in rank:
             continue
-        orb = orbits[comp[e.src]]
-        # P_root|w_src = P_root|w_dst|gen collapses to one relation at the root
-        cycles.setdefault(comp[e.src], []).append(
-            orb.words[e.dst] @ e.gen @ orb.words[e.src].inv()
-        )
-    for cid, cyc in cycles.items():
-        orbits[cid].cycles = tuple(cyc)
+        # breadth first: faces leave the walk in the order they join it, so an
+        # edge to a face that joined after cur (or to cur) is met here first
+        words = {root: IDENTITY}
+        rank[root] = len(rank)
+        walk = [root]
+        cycles: dict[int, Mat2] = {}
+        for cur in walk:
+            for ei, nbr, fwd in adj[cur]:
+                e = graph.edges[ei]
+                if nbr not in rank:
+                    rank[nbr] = len(rank)
+                    walk.append(nbr)
+                    # edge relation P_src = P_dst | gen, so crossing it forward
+                    # multiplies the word by gen^-1, backwards by gen
+                    words[nbr] = words[cur] @ (e.gen.inv() if fwd else e.gen)
+                elif rank[nbr] >= rank[cur]:
+                    # a non-tree edge: P_root|w_src = P_root|w_dst|gen
+                    # collapses to one relation at the root
+                    cycles[ei] = words[e.dst] @ e.gen @ words[e.src].inv()
+        orbits.append(Orbit(words, tuple(cycles[ei] for ei in sorted(cycles))))
     return tuple(orbits)

@@ -26,10 +26,6 @@ class InvalidWeight(ValueError):
     """Weight must be an even integer <= 0."""
 
 
-class OutOfDomain(ValueError):
-    """Evaluation point must lie in the upper half-plane."""
-
-
 def check_weight(k: int) -> int:
     """Return w = -k after validating the weight."""
     if isinstance(k, bool) or not isinstance(k, int) or k > 0 or k % 2:
@@ -327,36 +323,22 @@ def _eval_poly(coeffs: Sequence[Fraction], z: ExactComplex) -> ExactComplex:
     return acc
 
 
-def evaluate(
-    space: LocalPolySpace,
-    index: int,
-    point: Union[AlgebraicPoint, tuple],
-) -> ExactComplex:
+def evaluate(space: LocalPolySpace, index: int, point: AlgebraicPoint) -> ExactComplex:
     """Value of basis element #index at the point x + i sqrt(s).
 
-    The point is pulled back to the fundamental domain, picking up the
-    automorphy factor (c tau + d)^w; on the exceptional set the value is the
-    mean over the adjacent faces, which is what the matching condition
-    prescribes there.
+    With p' = g.p in the fundamental domain, the value is (P|g)(p), the
+    element's polynomial at p' slashed by g. On the exceptional set P is the
+    mean of the adjacent faces' polynomials, which is what the matching
+    condition prescribes there; the mean commutes with the slash.
     """
-    if not isinstance(point, AlgebraicPoint):
-        x, s = point
-        if s <= 0:
-            raise OutOfDomain(f"need s > 0 for x + i*sqrt(s), got s={s}")
-        point = AlgebraicPoint(x, s)
     if not 0 <= index < space.dim:
         raise IndexError(f"basis index {index} out of range 0..{space.dim - 1}")
     g, moved = reduce_point(point)
     where = space.complex.locate(moved)
+    faces = where.faces if isinstance(where, OnExceptional) else (where,)
     elem = space.basis[index]
-    zero = tuple(Fraction(0) for _ in range(space.w + 1))
-    z = ExactComplex.from_point(moved)
-    if isinstance(where, OnExceptional):
-        total = ExactComplex(Fraction(0))
-        for f in where.faces:
-            total = total + _eval_poly(elem.get(f, zero), z)
-        val = total * Fraction(1, len(where.faces))
-    else:
-        val = _eval_poly(elem.get(where, zero), z)
-    jay = ExactComplex(g.c * point.x + g.d, Fraction(g.c), point.s)
-    return jay ** space.w * val
+    vecs = [elem[f] for f in faces if f in elem]
+    if not vecs:
+        return ExactComplex(_ZERO)
+    mean = [sum(cs) / len(faces) for cs in zip(*vecs)]
+    return _eval_poly(slash_matrix(g, space.w).apply(mean), ExactComplex.from_point(point))

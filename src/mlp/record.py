@@ -76,7 +76,7 @@ class ResultRecord(dict):
         return cls(
             D=fc.disc,
             k=space.k,
-            forms=[[q.a, q.b, q.c] for q in fc.forms],
+            forms=[q.as_list() for q in fc.forms],
             rF=fc.face_count(),
             cuspFaces=fc.cusp_face_count(),
             orbitCount=len(space.orbits),

@@ -310,6 +310,24 @@ def _corrupt(text: str, case: str) -> str:
         obj["basis"][0]["0"][0] += " X"
     elif case == "wrong coefficient count":
         obj["basis"][0]["0"] = ["1/1"]
+    elif case == "face not below rF":
+        obj["basis"][1]["99"] = obj["basis"][1]["1"]
+    elif case == "face key has a leading zero":
+        obj["basis"][0]["01"] = obj["basis"][0]["0"]
+    elif case == "coefficient not in lowest terms":
+        obj["basis"][0]["0"][0] = "2/4"
+    elif case == "coefficient is minus zero":
+        obj["basis"][0]["0"][1] = "-0/1"
+    elif case == "numerator has a leading zero":
+        obj["basis"][0]["0"][0] = "01/1"
+    elif case == "zero over two":
+        obj["basis"][0]["0"][1] = "0/2"
+    elif case == "rF is a string":
+        obj["rF"] = "3"
+    elif case == "orbitCount is a float":
+        obj["orbitCount"] = 2.0
+    elif case == "empty basis":
+        obj["dim"], obj["basis"] = 0, []
     else:
         obj[case] -= 4  # D or k: the record of another valid query
     return json.dumps(obj, indent=2) + "\n"
@@ -320,7 +338,10 @@ def _corrupt(text: str, case: str) -> str:
     ["truncated", "not an object", "D", "k", "flags.augmented", "toolVersion",
      "dim", "dim != len(basis)", "basis is a string", "D is a float",
      "flags.augmented is 0", "coefficient is a number", "coefficient is a list",
-     "coefficient is not p/q", "coefficient has a tail", "wrong coefficient count"],
+     "coefficient is not p/q", "coefficient has a tail", "wrong coefficient count",
+     "face not below rF", "face key has a leading zero", "coefficient not in lowest terms",
+     "coefficient is minus zero", "numerator has a leading zero", "zero over two",
+     "rF is a string", "orbitCount is a float", "empty basis"],
 )
 def test_cache_record_that_does_not_answer_is_refused(capsys, tmp_path, monkeypatch, case):
     monkeypatch.setenv("MLP_CACHE_DIR", str(tmp_path))

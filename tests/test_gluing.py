@@ -11,6 +11,7 @@ from mlp import (
     S,
     T,
     AlgebraicPoint,
+    GluingEdge,
     GluingGraph,
     Mat2,
     apply_mobius,
@@ -122,6 +123,18 @@ def test_orbit_words_start_at_root():
             assert orb.words[root] == IDENTITY
             assert root == min(orb.words)
         assert sorted(f for orb in orbits for f in orb.words) == list(range(graph.n_faces))
+
+
+def test_orbit_cycles_come_in_edge_order():
+    # the walk from face 0 meets edge 2 (from face 1) before the self-loop,
+    # edge 0 (from face 2); the cycles still follow the edges' order
+    edges = [(2, 2, S, 0), (0, 1, T, 1), (1, 2, T, 2), (0, 2, S, 3)]
+    graph = GluingGraph(3, tuple(GluingEdge(a, b, g, ("wall", i, None)) for a, b, g, i in edges))
+    (orb,) = orbits_and_cycles(graph)
+    assert list(orb.words.items()) == [(0, IDENTITY), (1, T.inv()), (2, S.inv())]
+    assert orb.cycles == (S, S.inv() @ T @ T)
+    with pytest.raises(AttributeError):
+        orb.cycles = ()
 
 
 def test_orbit_count_matches_quotient_oracle():

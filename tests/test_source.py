@@ -95,3 +95,19 @@ def test_readme_lists_every_module():
     listed = re.findall(r"^\* `mlp\.(\w+)`", readme, flags=re.MULTILINE)
     modules = [path.stem for path in SRC.glob("*.py") if path.stem != "__init__"]
     assert sorted(listed) == sorted(modules)
+
+
+def test_library_writes_attributes_only_on_self():
+    # an object is built whole or mutated by its own methods: no function
+    # patches another object's fields after the fact
+    modules = sorted(SRC.glob("*.py"))
+    assert modules
+    found = [
+        f"{path.name}:{node.lineno} {ast.unparse(node)}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.ctx, ast.Store)
+        and not (isinstance(node.value, ast.Name) and node.value.id == "self")
+    ]
+    assert found == []
