@@ -9,7 +9,7 @@ decomposition, for even k <= 0.
 
 __version__ = "0.1.0"
 
-from .arrangement import FaceComplex, OnExceptional, OutOfRegion, build_arrangement
+from .arrangement import FaceComplex, OutOfRegion, build_arrangement
 from .geometry import (
     IDENTITY,
     S,
@@ -31,6 +31,8 @@ from .polyspace import (
     LocalPolySpace,
     check_laws,
     compute_space,
+    cusp_law,
+    dim_laws,
     evaluate,
     fixed_space,
     slash_matrix,
@@ -52,7 +54,6 @@ __all__ = [
     "InvalidWeight",
     "LocalPolySpace",
     "Mat2",
-    "OnExceptional",
     "Orbit",
     "OutOfRegion",
     "QuadForm",
@@ -62,6 +63,8 @@ __all__ = [
     "build_gluing_graph",
     "check_laws",
     "compute_space",
+    "cusp_law",
+    "dim_laws",
     "enumerate_forms",
     "eval_form",
     "evaluate",

@@ -1,7 +1,7 @@
 """Decomposition of the capped fundamental domain by geodesics of fixed discriminant.
 
 The domain is the standard fundamental strip |x| <= 1/2, |tau| >= 1, capped
-above at y = ycap (an integer chosen strictly above every listed semicircle).
+above at y = ycap, the least integer strictly above every semicircle.
 Heights are kept as y^2, so every stored value is an exact Fraction.
 
 Faces are connected components of the domain minus the listed geodesics.
@@ -46,14 +46,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .geometry import (
     HALF,
     AlgebraicPoint,
     QuadForm,
     enumerate_forms,
-    eval_form,
     is_even_square,
     semicircle_interval,
 )
@@ -99,26 +98,15 @@ class BottomSegment:
     face: int
 
 
-@dataclass(frozen=True)
-class OnExceptional:
-    """locate() result for a point on the exceptional set: adjacent faces."""
-
-    faces: tuple[int, ...]
-
-
 class FaceComplex:
     """Faces of the capped domain cut by the geodesics of one discriminant."""
 
-    def __init__(self, disc: int, ycap: Optional[int] = None):
+    def __init__(self, disc: int):
         self.disc = disc
         self.forms: tuple[QuadForm, ...] = tuple(enumerate_forms(disc))
         self.even_square = is_even_square(disc)
-        floor_cap = isqrt(disc) // 2 + 1  # strictly above every semicircle
-        if ycap is None:
-            ycap = floor_cap
-        elif ycap < floor_cap:
-            raise ValueError(f"cap {ycap} does not clear the arcs (need >= {floor_cap})")
-        self.ycap = ycap
+        # the least integer strictly above every semicircle
+        self.ycap = isqrt(disc) // 2 + 1
 
         # the floor [a, 0, -a] and the walls x = +-1/2 are geodesics exactly
         # when D is an even square; they bound the domain and cut nothing
@@ -143,7 +131,7 @@ class FaceComplex:
         self._lcm_a = lcm(*(arc.a for arc in arcs))
         self._coeffs = [(arc.a, arc.b, arc.c, self._lcm_a // arc.a) for arc in arcs]
         # FLOOR and CAP, the unit circle and y^2 = ycap^2, in the same terms
-        self._coeffs += [(1, 0, -1, self._lcm_a), (0, 0, -ycap * ycap, self._lcm_a)]
+        self._coeffs += [(1, 0, -1, self._lcm_a), (0, 0, -self.ycap ** 2, self._lcm_a)]
         self._sweep(self._events())
 
     # -- construction -------------------------------------------------
@@ -421,8 +409,9 @@ class FaceComplex:
     def cusp_face_count(self) -> int:
         return len(self.cusp_faces)
 
-    def locate(self, p: AlgebraicPoint) -> Union[int, OnExceptional]:
-        """Face containing p, or the adjacent faces when p is on a geodesic.
+    def locate(self, p: AlgebraicPoint) -> tuple[int, ...]:
+        """The faces around p, sorted: the one face containing it, or the
+        faces that meet at it when p is on a geodesic.
 
         Points above the cap are fine (the column is constant up there); only
         the walls and the unit circle bound the region.
@@ -430,7 +419,6 @@ class FaceComplex:
         x, s = p.x, p.s
         if x < -HALF or x > HALF or x * x + s < 1:
             raise OutOfRegion(f"({x}, {s}) outside the fundamental strip")
-        on_exc = any(eval_form(q, p) == 0 for q in self.forms)
         s_eff = min(s, self.ycap ** 2) * x.denominator ** 2 * self._lcm_a
         i = bisect_left(self.xs, x)
         if i < len(self.xs) and self.xs[i] == x:
@@ -443,12 +431,8 @@ class FaceComplex:
             for k in range(len(vals) - 1):
                 if vals[k] <= s_eff <= vals[k + 1]:
                     hits.add(self.face_of[si][k])
-        if on_exc:
-            return OnExceptional(tuple(sorted(hits)))
-        if len(hits) != 1:
-            raise RuntimeError(f"point ({x}, {s}) matched faces {hits}")
-        return hits.pop()
+        return tuple(sorted(hits))
 
 
-def build_arrangement(disc: int, ycap: Optional[int] = None) -> FaceComplex:
-    return FaceComplex(disc, ycap)
+def build_arrangement(disc: int) -> FaceComplex:
+    return FaceComplex(disc)

@@ -22,10 +22,18 @@ from math import gcd
 
 from . import __version__
 from .arrangement import build_arrangement
-from .geometry import InvalidDiscriminant, check_discriminant, enumerate_forms
+from .geometry import InvalidDiscriminant, check_discriminant, enumerate_forms, is_even_square
 from .gluing import build_gluing_graph, orbits_and_cycles
-from .polyspace import InvalidWeight, check_laws, check_weight, compute_space, solve_space
-from .record import ResultRecord, _layout, frac_str, render_poly
+from .polyspace import (
+    InvalidWeight,
+    check_laws,
+    check_weight,
+    compute_space,
+    cusp_law,
+    dim_laws,
+    solve_space,
+)
+from .record import FLAGS, KEYS, ResultRecord, _layout, frac_str, render_poly
 from .svgfig import svg_figure
 
 
@@ -60,16 +68,24 @@ _COEFF = re.compile(r"(-?[1-9][0-9]*|0)/([1-9][0-9]*)")
 
 
 def _answers(rec: ResultRecord, disc: int, k: int, augmented: bool) -> bool:
-    """Whether a parsed cache record answers this query: its key fields equal
-    the query's with their JSON types (5.0 is not 5, 0 is not false), rF,
-    cuspFaces and orbitCount are ints, and its basis is dim objects mapping
-    face numbers below rF to lists of 1 - k "p/q" strings in lowest terms."""
-    basis = rec["basis"]
-    key = (rec["D"], rec["k"], rec["flags"]["augmented"], rec["toolVersion"], rec["dim"])
-    counts = (rec["rF"], rec["cuspFaces"], rec["orbitCount"])
+    """Whether a parsed cache record answers this query: it has the keys and
+    flags from_space writes, in that order; its key fields equal the query's
+    with their JSON types (5.0 is not 5, 0 is not false) and evenSquare is
+    D's; rF, cuspFaces and orbitCount are ints with 0 < orbitCount <= rF that
+    obey cusp_law and dim_laws; and its basis is dim objects mapping face
+    numbers below rF to lists of 1 - k "p/q" strings in lowest terms."""
+    basis, flags = rec["basis"], rec["flags"]
+    key = (rec["D"], rec["k"], flags["augmented"], rec["toolVersion"], rec["dim"])
+    rf, cusp, orbit_count = counts = (rec["rF"], rec["cuspFaces"], rec["orbitCount"])
     if (
-        key != (disc, k, augmented, __version__, len(basis))
+        tuple(rec) != KEYS
+        or tuple(flags) != FLAGS
+        or flags["evenSquare"] is not is_even_square(disc)
+        or key != (disc, k, augmented, __version__, len(basis))
         or tuple(map(type, key + counts)) != (int, int, bool, str, int, int, int, int)
+        or not 0 < orbit_count <= rf
+        or cusp_law(disc, cusp)
+        or dim_laws(disc, k, augmented, rec["dim"], rf, orbit_count)
         or type(basis) is not list
         or not {dict}.issuperset(map(type, basis))
     ):
@@ -78,7 +94,7 @@ def _answers(rec: ResultRecord, disc: int, k: int, augmented: bool) -> bool:
     # distinct ones; a non-string makes join(), set() or the match raise
     # TypeError, refusing the record
     faces = set().union(*basis)
-    if not (_FACES.fullmatch(",".join(faces)) and max(map(int, faces)) < rec["rF"]):
+    if not (_FACES.fullmatch(",".join(faces)) and max(map(int, faces)) < rf):
         return False
     coeffs = list(chain.from_iterable(map(dict.values, basis)))
     if not ({list}.issuperset(map(type, coeffs)) and {1 - k}.issuperset(map(len, coeffs))):

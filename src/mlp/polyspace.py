@@ -17,8 +17,8 @@ from math import isqrt, lcm
 from operator import mul
 from typing import Sequence, Union
 
-from .arrangement import FaceComplex, OnExceptional, build_arrangement
-from .geometry import IDENTITY, AlgebraicPoint, ExactComplex, Mat2, reduce_point
+from .arrangement import FaceComplex, build_arrangement
+from .geometry import IDENTITY, AlgebraicPoint, ExactComplex, Mat2, is_even_square, reduce_point
 from .gluing import Orbit, build_gluing_graph, orbits_and_cycles
 
 
@@ -110,8 +110,6 @@ def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fracti
             row = [m.mat[i][j] - (i == j) for j in range(n)]
             if any(row):
                 rows.append(row)
-    if not rows:
-        return _units(w)
     pivots: list[int] = []
     d = 1
     for col in range(n):
@@ -174,7 +172,7 @@ class LocalPolySpace:
     @property
     def bound(self) -> int:
         """The paper's bound (w+1)*rF on dim."""
-        return (self.w + 1) * self.complex.face_count()
+        return _bound(self.k, self.complex.face_count())
 
     @cached_property
     def roots(self) -> tuple[tuple[dict[int, Mat2], list], ...]:
@@ -263,50 +261,64 @@ def solve_space(
     return LocalPolySpace(k, False, fc, orbits, dim, fixed, memo)
 
 
+def _bound(k: int, rf: int) -> int:
+    """The paper's bound (w+1)*rF on the weight-k dim, w = -k."""
+    return (1 - k) * rf
+
+
+def cusp_law(disc: int, cusp: int) -> list[str]:
+    """The cusp faces number 1, sqrt(D) or sqrt(D)+1 as D is a non-square, an
+    even square or an odd square: the message when cusp breaks that, else none."""
+    root = isqrt(disc)
+    expect = root + root % 2 if root * root == disc else 1
+    return [] if cusp == expect else [f"D={disc}: cuspFaces={cusp}, expected {expect}"]
+
+
+def dim_laws(disc: int, k: int, augmented: bool, dim: int, rf: int, orbit_count: int) -> list[str]:
+    """Every way one space's counts break the paper's laws, as one message
+    each, in order; empty when all hold.
+
+    dim <= (w+1)*rF, with equality for augmented spaces always and otherwise,
+    at k != 0, exactly when D is an even square; at k = 0 the dim is the orbit
+    count, and rF for an even square.
+    """
+    bound = _bound(k, rf)
+    if augmented:
+        return [] if dim == bound else [f"D={disc} k={k}: augmented dim {dim} != {bound}"]
+    # independent checks: one bad dim may break several laws at once
+    fails: list[str] = []
+    if dim > bound:
+        fails.append(f"D={disc} k={k}: dim {dim} exceeds bound {bound}")
+    even_square = is_even_square(disc)
+    if k == 0:
+        if dim != orbit_count:
+            fails.append(f"D={disc} k=0: dim {dim} != orbit count {orbit_count}")
+        if even_square and dim != rf:
+            fails.append(f"D={disc} k=0: dim {dim} != rF {rf}")
+    elif even_square:
+        if dim != bound:
+            fails.append(f"D={disc} k={k}: dim {dim} != bound {bound} (even square)")
+    elif dim >= bound:
+        fails.append(f"D={disc} k={k}: dim {dim} not below bound {bound}")
+    return fails
+
+
 def check_laws(
     fc: FaceComplex, orbits: Sequence[Orbit], spaces: Sequence[LocalPolySpace]
 ) -> list[str]:
     """Every way the complex, its orbits and its spaces break the paper's laws,
-    as one message each, in order; empty when all hold.
-
-    The cusp faces number 1, sqrt(D) or sqrt(D)+1 as D is a non-square, an
-    even square or an odd square, and for an odd square they lie in sqrt(D)
-    orbits. Each space has dim <= (w+1)*rF, with equality for augmented
-    spaces always and otherwise, at k != 0, exactly when D is an even square;
-    at k = 0 the dim is the orbit count, and rF for an even square.
+    as one message each, in order; empty when all hold: cusp_law, then for an
+    odd square the cusp faces' sqrt(D) orbits, then dim_laws per space.
     """
     disc, rf = fc.disc, fc.face_count()
-    fails: list[str] = []
+    fails = cusp_law(disc, fc.cusp_face_count())
     root = isqrt(disc)
-    square = root * root == disc
-    expect_cusp = root + root % 2 if square else 1
-    cusp = fc.cusp_face_count()
-    if cusp != expect_cusp:
-        fails.append(f"D={disc}: cuspFaces={cusp}, expected {expect_cusp}")
-    if square and root % 2:
+    if root * root == disc and root % 2:
         cusp_orbits = sum(1 for orb in orbits if not fc.cusp_faces.isdisjoint(orb.words))
         if cusp_orbits != root:
             fails.append(f"D={disc}: cusp orbit count {cusp_orbits}, expected {root}")
-
     for space in spaces:
-        k, dim, bound = space.k, space.dim, space.bound
-        if space.augmented:
-            if dim != bound:
-                fails.append(f"D={disc} k={k}: augmented dim {dim} != {bound}")
-            continue
-        # independent checks: one bad dim may break several laws at once
-        if dim > bound:
-            fails.append(f"D={disc} k={k}: dim {dim} exceeds bound {bound}")
-        if k == 0:
-            if dim != len(orbits):
-                fails.append(f"D={disc} k=0: dim {dim} != orbit count {len(orbits)}")
-            if fc.even_square and dim != rf:
-                fails.append(f"D={disc} k=0: dim {dim} != rF {rf}")
-        elif fc.even_square:
-            if dim != bound:
-                fails.append(f"D={disc} k={k}: dim {dim} != bound {bound} (even square)")
-        elif dim >= bound:
-            fails.append(f"D={disc} k={k}: dim {dim} not below bound {bound}")
+        fails += dim_laws(disc, space.k, space.augmented, space.dim, rf, len(orbits))
     return fails
 
 
@@ -334,8 +346,7 @@ def evaluate(space: LocalPolySpace, index: int, point: AlgebraicPoint) -> ExactC
     if not 0 <= index < space.dim:
         raise IndexError(f"basis index {index} out of range 0..{space.dim - 1}")
     g, moved = reduce_point(point)
-    where = space.complex.locate(moved)
-    faces = where.faces if isinstance(where, OnExceptional) else (where,)
+    faces = space.complex.locate(moved)
     elem = space.basis[index]
     vecs = [elem[f] for f in faces if f in elem]
     if not vecs:

@@ -54,6 +54,11 @@ def _layout(items: list[str], pad: str, brackets: str = "[]") -> str:
     return brackets[0] + sep + ("," + sep).join(items) + "\n" + pad + brackets[1]
 
 
+# a record's keys and its flags, in the order from_space writes them
+KEYS = ("D", "k", "forms", "rF", "cuspFaces", "orbitCount", "dim", "basis", "flags", "toolVersion")
+FLAGS = ("evenSquare", "augmented")
+
+
 class ResultRecord(dict):
     """One answer as its JSON object, in the key order `from_space` fixes.
     Each basis element maps a face index, as a string, to the face's "p/q"

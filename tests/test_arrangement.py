@@ -6,7 +6,7 @@ from math import isqrt
 import pytest
 
 from mlp import AlgebraicPoint, arrangement, build_arrangement
-from mlp.arrangement import OnExceptional, OutOfRegion
+from mlp.arrangement import OutOfRegion
 from mlp.geometry import enumerate_forms, semicircle_interval
 
 from _support import arrangement_digest, euler_counts, stable_grid_face_count
@@ -58,40 +58,32 @@ def test_cap_is_minimal_integer_above_arcs():
             assert Fraction(disc, 4 * arc.a * arc.a) < fc.ycap ** 2
 
 
-def test_cap_override_validation():
-    fc = build_arrangement(5)
-    assert fc.ycap == 2
-    with pytest.raises(ValueError):
-        build_arrangement(5, ycap=1)
-    assert build_arrangement(5, ycap=7).ycap == 7
-
-
 def test_d5_face_layout():
     fc = build_arrangement(5)
     assert fc.face_count() == 3
     assert fc.cusp_faces == {0}
-    assert fc.locate(AlgebraicPoint(0, 2)) == 0
-    assert fc.locate(AlgebraicPoint(Fraction(-1, 4), 1)) == 1
-    assert fc.locate(AlgebraicPoint(Fraction(1, 4), 1)) == 2
-    assert fc.locate(AlgebraicPoint(HALF, Fraction(3, 4))) == 2  # rho
+    assert fc.locate(AlgebraicPoint(0, 2)) == (0,)
+    assert fc.locate(AlgebraicPoint(Fraction(-1, 4), 1)) == (1,)
+    assert fc.locate(AlgebraicPoint(Fraction(1, 4), 1)) == (2,)
+    assert fc.locate(AlgebraicPoint(HALF, Fraction(3, 4))) == (2,)  # rho
     # i lies on both geodesics; every face touches it
-    assert fc.locate(AlgebraicPoint(0, 1)) == OnExceptional((0, 1, 2))
+    assert fc.locate(AlgebraicPoint(0, 1)) == (0, 1, 2)
 
 
 def test_locate_samples_roundtrip():
     for disc in [d for d in ALL_DISCS if d <= 50]:
         fc = build_arrangement(disc)
         for fid, p in enumerate(fc.samples):
-            assert fc.locate(p) == fid
+            assert fc.locate(p) == (fid,)
 
 
 def test_locate_above_cap_clamps_to_cusp_face():
     fc = build_arrangement(5)
-    assert fc.locate(AlgebraicPoint(0, 10**8)) == 0
+    assert fc.locate(AlgebraicPoint(0, 10**8)) == (0,)
     fc4 = build_arrangement(4)
     left = fc4.locate(AlgebraicPoint(Fraction(-1, 4), 10**8))
     right = fc4.locate(AlgebraicPoint(Fraction(1, 4), 10**8))
-    assert {left, right} == {0, 1}
+    assert {left, right} == {(0,), (1,)}
 
 
 def test_locate_rejects_points_outside_region():
@@ -154,17 +146,6 @@ def test_euler_relation():
         assert v - e + fc.face_count() == 1, f"D={disc}"
 
 
-def test_cap_doubling_changes_nothing():
-    for disc in ALL_DISCS:
-        base = build_arrangement(disc)
-        tall = build_arrangement(disc, ycap=2 * base.ycap)
-        assert tall.face_count() == base.face_count()
-        assert tall.cusp_face_count() == base.cusp_face_count()
-        assert tall.left_segments == base.left_segments
-        assert tall.right_segments == base.right_segments
-        assert tall.bottom_segments == base.bottom_segments
-
-
 def test_stack_heights_sorted_and_distinct():
     # within a slab, arcs are totally ordered by height; ties would mean a
     # missed crossing abscissa
@@ -196,11 +177,11 @@ def test_exceptional_faces_are_real_neighbors():
             if others != 1:
                 continue
             loc = fc.locate(p)
-            assert isinstance(loc, OnExceptional)
+            assert len(loc) == 2
             eps = Fraction(1, 2**20)
-            up = fc.locate(AlgebraicPoint(x, s + eps))
-            down = fc.locate(AlgebraicPoint(x, s - eps))
-            assert {up, down} == set(loc.faces)
+            (up,) = fc.locate(AlgebraicPoint(x, s + eps))
+            (down,) = fc.locate(AlgebraicPoint(x, s - eps))
+            assert {up, down} == set(loc)
 
 
 def _all_pairs_partition(fc):
@@ -245,10 +226,7 @@ def _all_pairs_partition(fc):
 
 
 def test_boundary_merge_matches_all_pairs_reference():
-    cases = [build_arrangement(d) for d in range(1, 121) if d % 4 in (0, 1)]
-    for disc in (5, 33, 64, 100):
-        cases.append(build_arrangement(disc, ycap=2 * build_arrangement(disc).ycap))
-    for fc in cases:
+    for fc in (build_arrangement(d) for d in range(1, 121) if d % 4 in (0, 1)):
         ref = _all_pairs_partition(fc)
         pairs = {
             (ref[(si, lvl)], fid)
@@ -258,7 +236,7 @@ def test_boundary_merge_matches_all_pairs_reference():
         # the pairs are a bijection between reference components and face ids
         roots = {r for r, _ in pairs}
         fids = {f for _, f in pairs}
-        assert len(pairs) == len(roots) == len(fids) == fc.face_count(), (fc.disc, fc.ycap)
+        assert len(pairs) == len(roots) == len(fids) == fc.face_count(), fc.disc
 
 
 def test_vertical_feet_are_arc_ends():
@@ -279,14 +257,6 @@ def test_form_without_arc_raises(monkeypatch):
     monkeypatch.setattr(arrangement, "semicircle_interval", lambda q: None)
     with pytest.raises(RuntimeError, match="has no arc in the strip"):
         build_arrangement(5)
-
-
-def test_locate_raises_when_point_matches_several_faces(monkeypatch):
-    fc = build_arrangement(5)
-    # i lies on both geodesics; hide that so locate expects a single face
-    monkeypatch.setattr(arrangement, "eval_form", lambda q, p: 1)
-    with pytest.raises(RuntimeError, match="matched faces"):
-        fc.locate(AlgebraicPoint(0, 1))
 
 
 def _fraction_xs(fc) -> list[Fraction]:

@@ -145,7 +145,7 @@ def test_faces_summary(capsys):
     for entry in obj["faces"]:
         x = Fraction(entry["sample"][0])
         s = Fraction(entry["sample"][1])
-        assert fc.locate(AlgebraicPoint(x, s)) == entry["id"]
+        assert fc.locate(AlgebraicPoint(x, s)) == (entry["id"],)
         assert entry["cusp"] == (entry["id"] in fc.cusp_faces)
 
 
@@ -249,7 +249,7 @@ def test_cache_round_trip(capsys, tmp_path, monkeypatch):
     code, second, _ = run(capsys, "dim", "--disc", "5", "--weight", "-2")
     assert code == 0 and second == first
     # the cached text is what gets printed, proving no recomputation
-    sentinel = first.replace('"cuspFaces": 1', '"cuspFaces": 7')
+    sentinel = first.replace('"1/1"', '"3/1"', 1)
     assert sentinel != first
     cache_file.write_text(sentinel, encoding="utf-8")
     _, third, _ = run(capsys, "dim", "--disc", "5", "--weight", "-2")
@@ -328,6 +328,24 @@ def _corrupt(text: str, case: str) -> str:
         obj["orbitCount"] = 2.0
     elif case == "empty basis":
         obj["dim"], obj["basis"] = 0, []
+    elif case in ("evenSquare is true", "evenSquare is false at D=16"):
+        obj["flags"]["evenSquare"] = not obj["flags"]["evenSquare"]
+    elif case == "cuspFaces and orbitCount off the laws":
+        obj["cuspFaces"], obj["orbitCount"] = 7, 9
+    elif case == "cuspFaces off the law":
+        obj["cuspFaces"] = 7
+    elif case == "orbitCount above rF":
+        obj["orbitCount"] = 9
+    elif case == "orbitCount is 0":
+        obj["orbitCount"] = 0
+    elif case == "orbitCount below dim at k=0":
+        obj["orbitCount"] = 1
+    elif case == "extra key":
+        obj["junk"] = 1
+    elif case == "extra flag":
+        obj["flags"]["x"] = 1
+    elif case == "rF and cuspFaces swapped":
+        obj = {key: obj[key] for key in ("D", "k", "forms", "cuspFaces", "rF", *list(obj)[5:])}
     else:
         obj[case] -= 4  # D or k: the record of another valid query
     return json.dumps(obj, indent=2) + "\n"
@@ -341,17 +359,23 @@ def _corrupt(text: str, case: str) -> str:
      "coefficient is not p/q", "coefficient has a tail", "wrong coefficient count",
      "face not below rF", "face key has a leading zero", "coefficient not in lowest terms",
      "coefficient is minus zero", "numerator has a leading zero", "zero over two",
-     "rF is a string", "orbitCount is a float", "empty basis"],
+     "rF is a string", "orbitCount is a float", "empty basis", "evenSquare is true",
+     "evenSquare is false at D=16", "cuspFaces and orbitCount off the laws",
+     "cuspFaces off the law", "orbitCount above rF", "orbitCount is 0",
+     "orbitCount below dim at k=0", "extra key", "extra flag", "rF and cuspFaces swapped"],
 )
 def test_cache_record_that_does_not_answer_is_refused(capsys, tmp_path, monkeypatch, case):
     monkeypatch.setenv("MLP_CACHE_DIR", str(tmp_path))
-    _, first, _ = run(capsys, "dim", "--disc", "5", "--weight", "-2")
-    cache_file = tmp_path / "v0.1.0_D5_k-2.json"
+    # D=5 at k=-2 unless the case names another query
+    disc = "16" if "D=16" in case else "5"
+    k = "0" if "k=0" in case else "-2"
+    _, first, _ = run(capsys, "dim", "--disc", disc, "--weight", k)
+    cache_file = tmp_path / f"v0.1.0_D{disc}_k{k}.json"
     bad = _corrupt(first, case)
     assert bad != first
     cache_file.write_text(bad, encoding="utf-8")
     for cmd in ("dim", "basis"):
-        code, out, err = run(capsys, cmd, "--disc", "5", "--weight", "-2")
+        code, out, err = run(capsys, cmd, "--disc", disc, "--weight", k)
         assert code == 4 and out == ""
         assert err == f"error: cache record {cache_file} does not answer this query; remove it\n"
         assert cache_file.read_text(encoding="utf-8") == bad

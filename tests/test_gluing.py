@@ -95,8 +95,8 @@ def test_edges_map_into_their_destination_face():
                 assert image.x == HALF and image.s == p.s
             else:
                 assert image.x == -p.x and image.norm_sq() == 1
-            assert fc.locate(p) == e.src, (disc, e)
-            assert fc.locate(image) == e.dst, (disc, e)
+            assert fc.locate(p) == (e.src,), (disc, e)
+            assert fc.locate(image) == (e.dst,), (disc, e)
 
 
 @pytest.mark.parametrize(

@@ -86,6 +86,9 @@ def test_record_json_shape():
     assert obj["flags"] == {"evenSquare": False, "augmented": False}
     assert obj["basis"][1] == {"1": ["1/1", "1/1", "1/1"], "2": ["1/1", "-1/1", "1/1"]}
     assert rec.to_json().endswith("\n")
+    # the cache reader requires exactly these keys and flags, in this order
+    assert tuple(rec) == tuple(obj) == mlp.record.KEYS
+    assert tuple(rec["flags"]) == tuple(obj["flags"]) == mlp.record.FLAGS
 
 
 def test_record_serialization_has_no_floats():

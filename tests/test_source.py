@@ -73,6 +73,26 @@ def _traced_locations() -> list[str]:
     return [loc.value for entry in table.values for loc in entry.elts[0].elts]
 
 
+def test_all_lists_the_package_imports():
+    # mlp.__all__ is exactly what __init__ imports, plus __version__: a name
+    # that goes from its module cannot stay exported
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    exported = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
+    )
+    assert len(exported) == len(set(exported))
+    assert set(exported) == imported | {"__version__"}
+
+
 def test_tracer_locations_are_bound():
     # a refactor that moves a traced function would lose its span silently
     locations = _traced_locations()
