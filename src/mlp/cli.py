@@ -3,8 +3,10 @@
 Subcommands: forms, dim, basis, faces, sweep. Exit codes: 0 success,
 1 a sweep check failed, 2 bad discriminant, 3 bad weight, 4 I/O trouble.
 Set MLP_CACHE_DIR to cache dim/basis records on disk; identical queries then
-return byte-identical output without recomputation. A cached record that does
-not answer its query is refused with exit 4, never served.
+return byte-identical output without recomputation. The record format, its
+reader included, lives in `record`: a cached record is served only if
+`ResultRecord.from_json` reads it and it names the query's D, k and augmented
+flag, and is otherwise refused with exit 4.
 """
 
 from __future__ import annotations
@@ -13,27 +15,16 @@ import argparse
 import functools
 import json
 import os
-import re
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from itertools import chain
-from math import gcd
 
 from . import __version__
 from .arrangement import build_arrangement
-from .geometry import InvalidDiscriminant, check_discriminant, enumerate_forms, is_even_square
+from .geometry import InvalidDiscriminant, check_discriminant, enumerate_forms
 from .gluing import build_gluing_graph, orbits_and_cycles
-from .polyspace import (
-    InvalidWeight,
-    check_laws,
-    check_weight,
-    compute_space,
-    cusp_law,
-    dim_laws,
-    solve_space,
-)
-from .record import FLAGS, KEYS, ResultRecord, _layout, frac_str, render_poly
+from .polyspace import InvalidWeight, check_laws, check_weight, compute_space, solve_space
+from .record import ResultRecord, faces_json, render_poly
 from .svgfig import svg_figure
 
 
@@ -62,53 +53,10 @@ def _store(path: str, text: str) -> None:
         print(f"warning: cache record {path} not written: {exc}", file=sys.stderr)
 
 
-# face keys, joined by commas, and a coefficient as frac_str spells them
-_FACES = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
-_COEFF = re.compile(r"(-?[1-9][0-9]*|0)/([1-9][0-9]*)")
-
-
-def _answers(rec: ResultRecord, disc: int, k: int, augmented: bool) -> bool:
-    """Whether a parsed cache record answers this query: it has the keys and
-    flags from_space writes, in that order; its key fields equal the query's
-    with their JSON types (5.0 is not 5, 0 is not false) and evenSquare is
-    D's; rF, cuspFaces and orbitCount are ints with 0 < orbitCount <= rF that
-    obey cusp_law and dim_laws; and its basis is dim objects mapping face
-    numbers below rF to lists of 1 - k "p/q" strings in lowest terms."""
-    basis, flags = rec["basis"], rec["flags"]
-    key = (rec["D"], rec["k"], flags["augmented"], rec["toolVersion"], rec["dim"])
-    rf, cusp, orbit_count = counts = (rec["rF"], rec["cuspFaces"], rec["orbitCount"])
-    if (
-        tuple(rec) != KEYS
-        or tuple(flags) != FLAGS
-        or flags["evenSquare"] is not is_even_square(disc)
-        or key != (disc, k, augmented, __version__, len(basis))
-        or tuple(map(type, key + counts)) != (int, int, bool, str, int, int, int, int)
-        or not 0 < orbit_count <= rf
-        or cusp_law(disc, cusp)
-        or dim_laws(disc, k, augmented, rec["dim"], rf, orbit_count)
-        or type(basis) is not list
-        or not {dict}.issuperset(map(type, basis))
-    ):
-        return False
-    # a warm hit walks every key and coefficient once and reads only the
-    # distinct ones; a non-string makes join(), set() or the match raise
-    # TypeError, refusing the record
-    faces = set().union(*basis)
-    if not (_FACES.fullmatch(",".join(faces)) and max(map(int, faces)) < rf):
-        return False
-    coeffs = list(chain.from_iterable(map(dict.values, basis)))
-    if not ({list}.issuperset(map(type, coeffs)) and {1 - k}.issuperset(map(len, coeffs))):
-        return False
-    for spelt in set(chain.from_iterable(coeffs)):
-        m = _COEFF.fullmatch(spelt)
-        if m is None or gcd(int(m[1]), int(m[2])) != 1:
-            return False
-    return True
-
-
 def _record(disc: int, k: int, augmented: bool) -> tuple[str, ResultRecord]:
     """The record's JSON text and object. A cached record is served verbatim,
-    and only if it answers this query."""
+    and only if it is well-formed (`ResultRecord.from_json` reads it) and
+    names this query's D, k and augmented flag."""
     check_discriminant(disc)
     check_weight(k)
     path = _cache_path(disc, k, augmented)
@@ -117,10 +65,9 @@ def _record(disc: int, k: int, augmented: bool) -> tuple[str, ResultRecord]:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
             rec = ResultRecord.from_json(text)
-            ok = _answers(rec, disc, k, augmented)
-        except (ValueError, KeyError, TypeError):
-            ok = False
-        if not ok:
+        except ValueError:
+            rec = None
+        if rec is None or (rec["D"], rec["k"], rec["flags"]["augmented"]) != (disc, k, augmented):
             raise OSError(f"cache record {path} does not answer this query; remove it")
         return text, rec
     rec = ResultRecord.from_space(compute_space(disc, k, augmented=augmented))
@@ -160,24 +107,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
 
 def cmd_faces(args: argparse.Namespace) -> int:
     fc = build_arrangement(args.disc)
-    # laid out as json.dumps(indent=2) would; the "p/q" samples need no escaping
-    faces = []
-    for fid, p in enumerate(fc.samples):
-        sample = _layout([f'"{frac_str(p.x)}"', f'"{frac_str(p.s)}"'], " " * 6)
-        cusp = json.dumps(fid in fc.cusp_faces)
-        items = [f'"id": {fid}', f'"sample": {sample}', f'"cusp": {cusp}']
-        faces.append(_layout(items, " " * 4, "{}"))
-    # the floor and the walls lie on geodesics exactly when D is an even square
-    flag = json.dumps(fc.even_square)
-    flags = [f'"evenSquare": {flag}', f'"bottomInE": {flag}', f'"wallsInE": {flag}']
-    fields = [
-        f'"D": {fc.disc}',
-        f'"rF": {fc.face_count()}',
-        f'"cuspFaces": {fc.cusp_face_count()}',
-        f'"flags": {_layout(flags, "  ", "{}")}',
-        f'"faces": {_layout(faces, "  ")}',
-    ]
-    print(_layout(fields, "", "{}"))
+    print(faces_json(fc))
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg_figure(fc, precision=args.precision))

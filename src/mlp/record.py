@@ -1,4 +1,5 @@
-"""JSON result records and exact rendering of basis polynomials.
+"""JSON result records, the `mlp faces` layout, and exact rendering of
+basis polynomials.
 
 Coefficients are serialized as "p/q" strings so records round-trip without
 any float ever appearing. Key layout is fixed so that identical inputs give
@@ -6,17 +7,23 @@ byte-identical files (the cache relies on this).
 
 `ResultRecord.to_json` writes that layout directly; its text equals
 `json.dumps(record, indent=2) + "\n"`, whose indenting encoder runs in pure
-Python. A record is read-only: equal coefficient vectors share one list of
-strings.
+Python. `ResultRecord.from_json` is the one reader of the format: it returns
+only what `from_space` could have written. A record is read-only: equal
+coefficient vectors share one list of strings.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
+from itertools import chain
+from math import gcd
 
 from . import __version__
-from .polyspace import LocalPolySpace
+from .arrangement import FaceComplex
+from .geometry import check_discriminant, is_even_square
+from .polyspace import LocalPolySpace, check_weight, cusp_law, dim_laws
 
 
 def frac_str(f: Fraction) -> str:
@@ -54,9 +61,34 @@ def _layout(items: list[str], pad: str, brackets: str = "[]") -> str:
     return brackets[0] + sep + ("," + sep).join(items) + "\n" + pad + brackets[1]
 
 
+def faces_json(fc: FaceComplex) -> str:
+    """What `mlp faces` prints: D's counts, flags and each face's sample, laid
+    out as json.dumps(indent=2) would; the "p/q" samples need no escaping."""
+    faces = []
+    for fid, p in enumerate(fc.samples):
+        sample = _layout([f'"{frac_str(p.x)}"', f'"{frac_str(p.s)}"'], " " * 6)
+        cusp = json.dumps(fid in fc.cusp_faces)
+        items = [f'"id": {fid}', f'"sample": {sample}', f'"cusp": {cusp}']
+        faces.append(_layout(items, " " * 4, "{}"))
+    # the floor and the walls lie on geodesics exactly when D is an even square
+    flag = json.dumps(fc.even_square)
+    flags = [f'"evenSquare": {flag}', f'"bottomInE": {flag}', f'"wallsInE": {flag}']
+    fields = [
+        f'"D": {fc.disc}',
+        f'"rF": {fc.face_count()}',
+        f'"cuspFaces": {fc.cusp_face_count()}',
+        f'"flags": {_layout(flags, "  ", "{}")}',
+        f'"faces": {_layout(faces, "  ")}',
+    ]
+    return _layout(fields, "", "{}")
+
+
 # a record's keys and its flags, in the order from_space writes them
 KEYS = ("D", "k", "forms", "rF", "cuspFaces", "orbitCount", "dim", "basis", "flags", "toolVersion")
 FLAGS = ("evenSquare", "augmented")
+# face keys, joined by commas, and a coefficient as frac_str spells them
+_FACES = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
+_COEFF = re.compile(r"(-?[1-9][0-9]*|0)/([1-9][0-9]*)")
 
 
 class ResultRecord(dict):
@@ -127,4 +159,56 @@ class ResultRecord(dict):
 
     @classmethod
     def from_json(cls, text: str) -> "ResultRecord":
-        return cls(json.loads(text))
+        """The record `text` spells, if this version's `from_space` could have
+        written it; else ValueError. It has the keys and flags from_space
+        writes, in that order, with their JSON types (5.0 is not 5, 0 is not
+        false); D and k are valid, toolVersion is this version's and
+        evenSquare is D's; rF, cuspFaces and orbitCount have 0 < orbitCount
+        <= rF and obey cusp_law and dim_laws; and the basis is dim objects
+        mapping face numbers below rF to lists of 1 - k "p/q" strings in
+        lowest terms. `forms` is not checked: that would enumerate D's forms
+        on every read."""
+        try:
+            rec = json.loads(text)
+        except RecursionError:
+            raise ValueError("record nested too deeply") from None
+        if type(rec) is not dict or tuple(rec) != KEYS:
+            raise ValueError(f"record keys are not {KEYS}")
+        basis, flags = rec["basis"], rec["flags"]
+        if type(flags) is not dict or tuple(flags) != FLAGS:
+            raise ValueError(f"record flags are not {FLAGS}")
+        disc, k, augmented = rec["D"], rec["k"], flags["augmented"]
+        check_discriminant(disc)
+        check_weight(k)
+        rf, cusp, orbit_count, dim, version = fields = (
+            rec["rF"], rec["cuspFaces"], rec["orbitCount"], rec["dim"], rec["toolVersion"]
+        )
+        if (
+            tuple(map(type, (*fields, augmented))) != (int, int, int, int, str, bool)
+            or version != __version__
+            or flags["evenSquare"] is not is_even_square(disc)
+            or not 0 < orbit_count <= rf
+            or cusp_law(disc, cusp)
+            or dim_laws(disc, k, augmented, dim, rf, orbit_count)
+            or type(basis) is not list
+            or dim != len(basis)
+            or not {dict}.issuperset(map(type, basis))
+        ):
+            raise ValueError("record counts or flags are not what from_space writes")
+        # a read walks every key and coefficient once and reads only the
+        # distinct ones
+        faces = set().union(*basis)
+        if not (_FACES.fullmatch(",".join(faces)) and max(map(int, faces)) < rf):
+            raise ValueError("record face keys are not faces below rF")
+        coeffs = list(chain.from_iterable(map(dict.values, basis)))
+        if not ({list}.issuperset(map(type, coeffs)) and {1 - k}.issuperset(map(len, coeffs))):
+            raise ValueError(f"record faces do not each hold {1 - k} coefficients")
+        try:
+            for spelt in set(chain.from_iterable(coeffs)):
+                m = _COEFF.fullmatch(spelt)
+                if m is None or gcd(int(m[1]), int(m[2])) != 1:
+                    raise ValueError(f"record coefficient {spelt!r} is not p/q in lowest terms")
+        except TypeError:
+            # a list is unhashable in set() and a number fails the match
+            raise ValueError("record coefficient is not a string") from None
+        return cls(rec)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 from fractions import Fraction
 from math import isqrt
 
@@ -304,3 +305,29 @@ ARRANGEMENT_LARGE_SHA256 = "8cc18de24915ac4a37c0c095d39366b654b4bbccfce9e9a6ca6b
 
 def test_arrangement_digest_pinned_large():
     assert arrangement_digest(discs=LARGE_DISCS) == ARRANGEMENT_LARGE_SHA256
+
+
+# the top of the D <= 10,000 sweep, where the integer abscissa keys are
+# largest: the non-square 9997 in full; for the odd square 9801 and the even
+# square 10000 (laying out face_of and samples for these two takes about
+# 20 s), xs, the face counts and the boundary segments
+ARRANGEMENT_9997_SHA256 = "5a3e92182413d14844c65acd809b94ea4b3b7facb290aeb5b84c6144f22e5e5e"
+SQUARES_TOP_SHA256 = {
+    9801: "076d1130485ca9143b957b1d3505dc072ef1875bbdf674e42ac18199eeeb7f44",
+    10000: "3179ac72c0a24fbb11de32e849e38504395fb955989be230dfa013b85bef68c3",
+}
+
+
+def test_arrangement_digest_pinned_top():
+    assert arrangement_digest(discs=[9997]) == ARRANGEMENT_9997_SHA256
+    for disc, digest in SQUARES_TOP_SHA256.items():
+        fc = build_arrangement(disc)
+        pinned = repr((
+            disc,
+            fc.face_count(),
+            sorted(fc.cusp_faces),
+            [str(x) for x in fc.xs],
+            [(str(s.s_lo), str(s.s_hi), s.face) for s in fc.left_segments],
+            [(str(s.x_lo), str(s.x_hi), s.face) for s in fc.bottom_segments],
+        ))
+        assert hashlib.sha256(pinned.encode()).hexdigest() == digest, disc

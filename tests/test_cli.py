@@ -286,6 +286,13 @@ def _corrupt(text: str, case: str) -> str:
         return text[: len(text) // 2]
     if case == "not an object":
         return json.dumps([obj])
+    if case == "nested past the recursion limit":
+        return "[" * 200000 + "]" * 200000
+    if case in ("the record of D=8", "the record of k=-4", "the augmented record"):
+        # well-formed, but the answer to another query
+        disc, k = (8, -2) if "D=8" in case else (5, -4) if "k=-4" in case else (5, -2)
+        space = polyspace.compute_space(disc, k, augmented="augmented" in case)
+        return ResultRecord.from_space(space).to_json()
     if case == "dim":
         obj["dim"] = 2222
     elif case == "dim != len(basis)":
@@ -362,7 +369,9 @@ def _corrupt(text: str, case: str) -> str:
      "rF is a string", "orbitCount is a float", "empty basis", "evenSquare is true",
      "evenSquare is false at D=16", "cuspFaces and orbitCount off the laws",
      "cuspFaces off the law", "orbitCount above rF", "orbitCount is 0",
-     "orbitCount below dim at k=0", "extra key", "extra flag", "rF and cuspFaces swapped"],
+     "orbitCount below dim at k=0", "extra key", "extra flag", "rF and cuspFaces swapped",
+     "nested past the recursion limit", "the record of D=8", "the record of k=-4",
+     "the augmented record"],
 )
 def test_cache_record_that_does_not_answer_is_refused(capsys, tmp_path, monkeypatch, case):
     monkeypatch.setenv("MLP_CACHE_DIR", str(tmp_path))

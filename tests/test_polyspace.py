@@ -32,7 +32,13 @@ from mlp.polyspace import (
     solve_space,
 )
 
-from _support import deficit_law_dim, exceptional_points, modular_rank_dim, random_word
+from _support import (
+    deficit_law_dim,
+    exceptional_points,
+    modular_rank_dim,
+    quotient_orbit_count,
+    random_word,
+)
 
 HALF = Fraction(1, 2)
 RHO = AlgebraicPoint(HALF, Fraction(3, 4))
@@ -311,15 +317,19 @@ def test_dim_matches_modular_rank_oracle():
 
 def test_dim_matches_deficit_law():
     # solved the sweep's way, with one memo over every D, so a memo entry
-    # served to the wrong discriminant or weight shows as a wrong dim
+    # served to the wrong discriminant or weight shows as a wrong dim; up to
+    # D = 300 the law is also fed the orbit count from the forms alone
     memo = {}
     weights = (*range(0, -16, -2), -24)
     for disc in [d for d in range(1, 401) if d % 4 in (0, 1)]:
         fc = build_arrangement(disc)
         orbits = orbits_and_cycles(build_gluing_graph(fc))
+        forms_only = quotient_orbit_count(disc)[0] if disc <= 300 else None
         for k in weights:
             dim = solve_space(fc, orbits, k, memo=memo).dim
             assert dim == deficit_law_dim(fc, len(orbits), k), (disc, k)
+            if forms_only is not None:
+                assert dim == deficit_law_dim(fc, forms_only, k), (disc, k)
 
 
 def test_dim_counts_the_basis():

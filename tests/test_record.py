@@ -120,6 +120,36 @@ def test_record_round_trip():
         assert again.to_json() == rec.to_json()
 
 
+def test_from_json_refuses_what_from_space_cannot_write():
+    # a library caller gets ValueError, never KeyError, TypeError or
+    # RecursionError, for any text from_space could not have written
+    text = ResultRecord.from_space(compute_space(5, -2)).to_json()
+    assert ResultRecord.from_json(text).to_json() == text
+
+    def edited(key, value):
+        obj = json.loads(text)
+        obj[key] = value
+        return json.dumps(obj)
+
+    bad = [
+        text[: len(text) // 2],
+        text.replace('"D": 5,', '"D": 5.0,'),
+        text.replace('"k": -2,', '"k": -2.0,'),
+        text.replace('"1/1"', '"2/4"', 1),
+        text.replace('"toolVersion"', '"junk": 1,\n  "toolVersion"'),
+        "[" * 200000 + "]" * 200000,
+        json.dumps(list(json.loads(text))),
+        edited("flags", ["evenSquare", "augmented"]),
+        edited("basis", 2),
+        edited("basis", [1, 2]),
+        edited("basis", [{"0": 1}, {"1": 1}]),
+    ]
+    for spelt in bad:
+        assert spelt != text
+        with pytest.raises(ValueError):
+            ResultRecord.from_json(spelt)
+
+
 def test_even_square_flag_tracks_equality():
     for disc in (4, 5, 9, 16, 17):
         for k in (-2, -4):
