@@ -17,7 +17,6 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .arrangement import build_arrangement
@@ -91,14 +90,22 @@ def cmd_dim(args: argparse.Namespace) -> int:
 
 def cmd_basis(args: argparse.Namespace) -> int:
     text, rec = _record(args.disc, args.weight, args.augmented)
-    print(
+    lines = [
         f"D={rec['D']} k={rec['k']} dim={rec['dim']} rF={rec['rF']} "
         f"cuspFaces={rec['cuspFaces']} orbitCount={rec['orbitCount']}"
-    )
+    ]
+    # each distinct coefficient list is rendered once; the lists of a cached
+    # record are not shared, so they meet by content
+    polys: dict[tuple[str, ...], str] = {}
     for i, elem in enumerate(rec["basis"], start=1):
-        print(f"element {i}")
+        lines.append(f"element {i}")
         for face in sorted(elem, key=int):
-            print(f"  face {face}: {render_poly(elem[face])}")
+            coeffs = tuple(elem[face])
+            poly = polys.get(coeffs)
+            if poly is None:
+                poly = polys[coeffs] = render_poly(coeffs)
+            lines.append(f"  face {face}: {poly}")
+    print("\n".join(lines))
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -147,6 +154,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     tasks = [(d, weights, args.augmented) for d in discs]
     _SWEEP_MEMO.clear()
     if args.jobs > 1:
+        # imported here: only --jobs needs the pool, and it is slow to import
+        from concurrent.futures import ProcessPoolExecutor
+
         # a pool forks every worker at its first submit
         with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
             results = list(pool.map(_sweep_task, tasks))

@@ -147,10 +147,10 @@ class LocalPolySpace:
     dim is counted without a root vector per orbit: w+1 for every orbit with
     no non-identity cycle (and every face, when augmented), plus the size of
     each cycle orbit's fixed space. basis[i] maps face index -> coefficient
-    vector; faces a given element vanishes on identically are simply absent
-    from its mapping. It is transported on first read, each (slash matrix,
-    root vector) pair once, so equal images are one shared tuple and the
-    basis is read-only.
+    vector, faces in increasing order; faces a given element vanishes on
+    identically are simply absent from its mapping. It is transported on
+    first read, each (slash matrix, root vector) pair once, so equal images
+    are one shared tuple and the basis is read-only.
     """
 
     k: int
@@ -205,7 +205,9 @@ class LocalPolySpace:
                 continue
             # the memo holds every word of an orbit with vectors but never the
             # identity, whose face carries the root vector as is
-            transport = [(f, None if g == IDENTITY else memo[(g, w)]) for f, g in words.items()]
+            transport = [
+                (f, None if g == IDENTITY else memo[(g, w)]) for f, g in sorted(words.items())
+            ]
             for v in vecs:
                 basis.append({f: v if m is None else image(m, v) for f, m in transport})
         return tuple(basis)

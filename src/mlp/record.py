@@ -103,6 +103,7 @@ class ResultRecord(dict):
         # basis vectors repeat as objects (shared transports, unit vectors);
         # space.basis keeps each alive for this call, so no id is reused
         spelt: dict[int, list[str]] = {}
+        names = [str(face) for face in range(fc.face_count())]
 
         def strings(vec) -> list[str]:
             out = spelt.get(id(vec))
@@ -118,8 +119,9 @@ class ResultRecord(dict):
             cuspFaces=fc.cusp_face_count(),
             orbitCount=len(space.orbits),
             dim=space.dim,
+            # space.basis lists each element's faces in increasing order
             basis=[
-                {str(face): strings(elem[face]) for face in sorted(elem)}
+                {names[face]: strings(vec) for face, vec in elem.items()}
                 for elem in space.basis
             ],
             flags={"evenSquare": fc.even_square, "augmented": space.augmented},
@@ -127,14 +129,15 @@ class ResultRecord(dict):
         )
 
     def to_json(self) -> str:
-        # coefficient strings and face keys are "-", digits and "/": no escaping
-        blocks: dict[tuple[str, ...], str] = {}
+        # coefficient strings and face keys are "-", digits and "/": no escaping.
+        # Blocks are keyed by the list: from_space shares equal lists, and self
+        # keeps each alive for this call, so no id is reused
+        blocks: dict[int, str] = {}
 
         def coeffs(strs: list[str]) -> str:
-            key = tuple(strs)
-            out = blocks.get(key)
+            out = blocks.get(id(strs))
             if out is None:
-                out = blocks[key] = _layout([f'"{c}"' for c in strs], " " * 6)
+                out = blocks[id(strs)] = _layout([f'"{c}"' for c in strs], " " * 6)
             return out
 
         forms = [_layout([str(v) for v in form], " " * 4) for form in self["forms"]]
@@ -164,10 +167,12 @@ class ResultRecord(dict):
         writes, in that order, with their JSON types (5.0 is not 5, 0 is not
         false); D and k are valid, toolVersion is this version's and
         evenSquare is D's; rF, cuspFaces and orbitCount have 0 < orbitCount
-        <= rF and obey cusp_law and dim_laws; and the basis is dim objects
-        mapping face numbers below rF to lists of 1 - k "p/q" strings in
-        lowest terms. `forms` is not checked: that would enumerate D's forms
-        on every read."""
+        <= rF and obey cusp_law and dim_laws; and the basis is dim non-empty
+        objects mapping face numbers below rF to lists of 1 - k "p/q" strings
+        in lowest terms, not all zero. `forms` is not checked: that would
+        enumerate D's forms on every read. Nor are layout, face order within
+        an element or duplicate keys: each would cost a check per element or
+        object, or a to_json per read."""
         try:
             rec = json.loads(text)
         except RecursionError:
@@ -193,6 +198,7 @@ class ResultRecord(dict):
             or type(basis) is not list
             or dim != len(basis)
             or not {dict}.issuperset(map(type, basis))
+            or not all(basis)
         ):
             raise ValueError("record counts or flags are not what from_space writes")
         # a read walks every key and coefficient once and reads only the
@@ -203,6 +209,8 @@ class ResultRecord(dict):
         coeffs = list(chain.from_iterable(map(dict.values, basis)))
         if not ({list}.issuperset(map(type, coeffs)) and {1 - k}.issuperset(map(len, coeffs))):
             raise ValueError(f"record faces do not each hold {1 - k} coefficients")
+        if ["0/1"] * (1 - k) in coeffs:
+            raise ValueError("record has a face whose coefficients are all zero")
         try:
             for spelt in set(chain.from_iterable(coeffs)):
                 m = _COEFF.fullmatch(spelt)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -13,7 +14,7 @@ from mlp import AlgebraicPoint, build_arrangement
 from mlp import arrangement, cli, polyspace
 from mlp.cli import main
 from mlp.polyspace import SlashMatrix
-from mlp.record import ResultRecord
+from mlp.record import ResultRecord, render_poly
 
 
 @pytest.fixture(autouse=True)
@@ -119,6 +120,63 @@ def test_basis_weight_zero_indicators(capsys):
     assert out.count("element ") == 2
     assert "  face 0: 1/1" in lines
     assert "  face 1: 1/1" in lines and "  face 2: 1/1" in lines
+
+
+def _reference_listing(rec: ResultRecord) -> str:
+    """What `mlp basis` prints for a record, one render_poly per (element, face)."""
+    out = (
+        f"D={rec['D']} k={rec['k']} dim={rec['dim']} rF={rec['rF']} "
+        f"cuspFaces={rec['cuspFaces']} orbitCount={rec['orbitCount']}\n"
+    )
+    for i, elem in enumerate(rec["basis"], start=1):
+        out += f"element {i}\n"
+        for face in sorted(elem, key=int):
+            out += f"  face {face}: {render_poly(elem[face])}\n"
+    return out
+
+
+@pytest.mark.parametrize(
+    "disc,k,augmented",
+    [(d, k, False) for d in (1, 4, 5, 9, 16, 17, 21, 64, 97) for k in (0, -2, -8)]
+    + [(d, -2, True) for d in (1, 4, 5, 9, 16, 17, 21, 64, 97)],
+)
+def test_basis_hit_prints_miss_bytes(capsys, tmp_path, monkeypatch, disc, k, augmented):
+    # a miss renders lists that from_space shares, a hit lists that from_json
+    # reads apart; both print what one render_poly per face prints
+    argv = ["basis", "--disc", str(disc), "--weight", str(k)] + ["--augmented"] * augmented
+    code, miss, _ = run(capsys, *argv)
+    assert code == 0
+    monkeypatch.setenv("MLP_CACHE_DIR", str(tmp_path))
+    assert run(capsys, *argv) == (0, miss, "")
+    (path,) = tmp_path.glob("*.json")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a warm hit computed its space")
+
+    monkeypatch.setattr(cli, "compute_space", refuse)
+    assert run(capsys, *argv) == (0, miss, "")
+    assert miss == _reference_listing(ResultRecord.from_json(path.read_text(encoding="utf-8")))
+
+
+def test_basis_renders_each_distinct_list_once(capsys, tmp_path, monkeypatch):
+    # a hit's lists are read apart, yet each distinct one is rendered once
+    monkeypatch.setenv("MLP_CACHE_DIR", str(tmp_path))
+    rendered = []
+
+    def counting(strs):
+        rendered.append(tuple(strs))
+        return render_poly(strs)
+
+    monkeypatch.setattr(cli, "render_poly", counting)
+    for disc, k in ((97, -8), (64, -2), (5, 0)):
+        argv = ["basis", "--disc", str(disc), "--weight", str(k)]
+        _, miss, _ = run(capsys, *argv)
+        text = (tmp_path / f"v0.1.0_D{disc}_k{k}.json").read_text(encoding="utf-8")
+        coeffs = [tuple(v) for elem in ResultRecord.from_json(text)["basis"] for v in elem.values()]
+        rendered.clear()
+        assert run(capsys, *argv) == (0, miss, "")
+        assert sorted(rendered) == sorted(set(coeffs))
+        assert len(rendered) < len(coeffs)
 
 
 def test_basis_json_io_error(capsys, tmp_path):
@@ -335,6 +393,10 @@ def _corrupt(text: str, case: str) -> str:
         obj["orbitCount"] = 2.0
     elif case == "empty basis":
         obj["dim"], obj["basis"] = 0, []
+    elif case == "empty basis element":
+        obj["basis"][1] = {}
+    elif case == "coefficients all zero":
+        obj["basis"][0]["0"] = ["0/1"] * 3
     elif case in ("evenSquare is true", "evenSquare is false at D=16"):
         obj["flags"]["evenSquare"] = not obj["flags"]["evenSquare"]
     elif case == "cuspFaces and orbitCount off the laws":
@@ -366,7 +428,8 @@ def _corrupt(text: str, case: str) -> str:
      "coefficient is not p/q", "coefficient has a tail", "wrong coefficient count",
      "face not below rF", "face key has a leading zero", "coefficient not in lowest terms",
      "coefficient is minus zero", "numerator has a leading zero", "zero over two",
-     "rF is a string", "orbitCount is a float", "empty basis", "evenSquare is true",
+     "rF is a string", "orbitCount is a float", "empty basis", "empty basis element",
+     "coefficients all zero", "evenSquare is true",
      "evenSquare is false at D=16", "cuspFaces and orbitCount off the laws",
      "cuspFaces off the law", "orbitCount above rF", "orbitCount is 0",
      "orbitCount below dim at k=0", "extra key", "extra flag", "rF and cuspFaces swapped",
@@ -559,7 +622,8 @@ def test_sweep_starts_no_more_workers_than_tasks(capsys, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", InlineExecutor)
+    # cmd_sweep imports the pool only when --jobs asks for one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     for max_disc in ("4", "5"):
         _, serial, _ = run(capsys, "sweep", "--max-disc", max_disc, "--weights", "0,-2")
         code, out, _ = run(

@@ -143,6 +143,8 @@ def test_from_json_refuses_what_from_space_cannot_write():
         edited("basis", 2),
         edited("basis", [1, 2]),
         edited("basis", [{"0": 1}, {"1": 1}]),
+        edited("basis", [json.loads(text)["basis"][0], {}]),
+        text.replace('"1/1",\n        "-1/1",\n        "1/1"', '"0/1",\n        "0/1",\n        "0/1"'),
     ]
     for spelt in bad:
         assert spelt != text
@@ -211,6 +213,20 @@ def test_to_json_equals_json_dumps():
     for basis in ([], [{}], [{"0": []}, {"3": ["-1/2"], "12": ["0/1", "7/3"]}]):
         check(ResultRecord(empty, basis=basis, flags=flags, toolVersion=__version__))
         check(ResultRecord(empty, basis=basis, flags={}, toolVersion="é\"1"))
+
+
+def test_record_lists_faces_in_increasing_order():
+    # the basis, and so the record, lists faces in increasing order whatever
+    # order the gluing walk met them in
+    fc = build_arrangement(97)
+    orbits = orbits_and_cycles(build_gluing_graph(fc))
+    backwards = tuple(orb._replace(words=dict(reversed(orb.words.items()))) for orb in orbits)
+    assert [list(orb.words) for orb in backwards] != [list(orb.words) for orb in orbits]
+    for k in (0, -8):
+        space = solve_space(fc, backwards, k)
+        assert all(list(elem) == sorted(elem) for elem in space.basis)
+        text = ResultRecord.from_space(solve_space(fc, orbits, k)).to_json()
+        assert ResultRecord.from_space(space).to_json() == text
 
 
 def test_from_space_spells_each_vector_once(monkeypatch):
