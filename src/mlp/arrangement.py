@@ -23,6 +23,20 @@ face of its partner or, if it has none, starts a face. Faces never merge:
 each is a chain of runs whose first is its least (first slab, -level) run.
 Across a vertical geodesic no run continues.
 
+The sweep covers only x <= 0. z -> -conj(z) maps the geodesic of [a, b, c]
+to that of [a, -b, c], of the same D, so the strip right of 0 is the mirror
+of the strip left of it: slab n - 1 - si holds the arcs of slab si mirrored,
+at the same levels. A face whose cell in the last left slab has positive
+length at x = 0 crosses it and is its own mirror, unless x = 0 lies on a
+vertical geodesic (every square D). Every other face left of 0 has a twin
+right of it, and every face right of 0 is one of these two. Face ids are the
+(first slab, -level) order of first runs over the whole strip. The faces
+left of 0 come first, as the sweep opens them; a twin's first run is the
+mirror of its face's last run, so the twins follow, ordered by that run's
+(-last slab, -level). The right wall, the floor right of 0, the samples of
+the twins and the right half of slab_arcs and face_of are mirrored from the
+left half.
+
 Heights are compared as integers. At x = p/q the arc of [a, b, c] (a > 0)
 has y^2 = -(a p^2 + b p q + c q^2) / (a q^2), so scaling every height at x by
 q^2 * L, with L the lcm of the leading coefficients of all arcs, gives the
@@ -35,8 +49,9 @@ integers q > 0: the walls and 0, arc ends -(a+c)/b, apexes -b/2a, crossings
 num/det and vertical lines -c/b. With qmax the largest q, two distinct ones
 differ by at least 1/qmax^2, so for 2^K > qmax^2 the key floor(p * 2^K / q)
 separates them and keeps their order, and equal values share one key
-whatever their p and q. The sweep sorts, deduplicates and indexes abscissae
-by that key alone and builds one Fraction per distinct abscissa, for xs.
+whatever their p and q. The sweep sorts, deduplicates and indexes the
+abscissae up to 0 by that key alone and builds one Fraction per distinct
+abscissa; xs right of 0 is their negation.
 """
 
 from __future__ import annotations
@@ -138,20 +153,22 @@ class FaceComplex:
 
     def _events(self) -> tuple[dict[int, list[int]], dict[int, int], dict[int, set[int]], set]:
         """Set xs, the sorted critical abscissae, and the position of x = 0
-        in it; return what happens at each position of xs: the arcs that
-        start there, how many end there, the arcs that cross there while
-        running through it, and the positions of the vertical lines."""
-        arcs = self.arcs
+        in it; return what happens at each position of xs up to x = 0: the
+        arcs that start there, how many end there, the arcs that cross
+        there while running through it, and the positions of the vertical
+        lines. Only x <= 0 is searched: z -> -conj(z) maps the geodesics of
+        D onto themselves, so xs right of 0 is xs left of it negated."""
+        # the arcs that reach x < 0: the only ones that start, end or cross there
         ends = [
-            (arc.a, arc.b, arc.c, arc.lo.numerator, arc.lo.denominator,
+            (k, arc.a, arc.b, arc.c, arc.lo.numerator, arc.lo.denominator,
              arc.hi.numerator, arc.hi.denominator)
-            for arc in arcs
+            for k, arc in enumerate(self.arcs) if arc.lo < 0
         ]
         # two arcs cross at x = num/det; with det > 0, lo < x < hi is
         # lo.n * det < num * lo.d and num * hi.d < hi.n * det
         crossings = []
-        for i, (a1, b1, c1, ln1, ld1, hn1, hd1) in enumerate(ends):
-            for j, (a2, b2, c2, ln2, ld2, hn2, hd2) in enumerate(ends[i + 1:], i + 1):
+        for i, (k1, a1, b1, c1, ln1, ld1, hn1, hd1) in enumerate(ends):
+            for k2, a2, b2, c2, ln2, ld2, hn2, hd2 in ends[i + 1:]:
                 det = a1 * b2 - a2 * b1
                 if det == 0:
                     continue  # concentric circles never meet
@@ -159,48 +176,42 @@ class FaceComplex:
                 if det < 0:
                     det, num = -det, -num
                 # a crossing at an arc's end is already critical as that end
-                if (ln1 * det < num * ld1 and num * hd1 < hn1 * det
+                if (num < 0 and ln1 * det < num * ld1 and num * hd1 < hn1 * det
                         and ln2 * det < num * ld2 and num * hd2 < hn2 * det):
-                    crossings.append((num, det, i, j))
-        vxs = [(x.numerator, x.denominator) for x in self.vlines]
-        qmax = max(2, *(q for _, q in vxs), *(det for _, det, _, _ in crossings),
-                   *(max(ld, hd, 2 * a) for a, _, _, _, ld, _, hd in ends))
+                    crossings.append((num, det, k1, k2))
+        vxs = [(x.numerator, x.denominator) for x in self.vlines if x <= 0]
+        # the other abscissae at x <= 0: the left wall, 0, arc ends and apexes
+        crit = [(-1, 2), (0, 1), *vxs]
+        for _, a, b, _, ln, ld, hn, hd in ends:
+            crit.append((ln, ld))
+            if hn <= 0:
+                crit.append((hn, hd))
+            if b > 0 and ln * 2 * a < -b * ld and -b * hd < hn * 2 * a:  # lo < apex < hi
+                crit.append((-b, 2 * a))
+        qmax = max(*(q for _, q in crit), *(det for _, det, _, _ in crossings))
         # every abscissa is p/q with 0 < q <= qmax: its key is
         # (p << shift) // q, exact and in order (see the module docstring)
         shift = 2 * qmax.bit_length()
-        crit = {(-1 << shift) // 2: (-1, 2), (1 << shift) // 2: (1, 2), 0: (0, 1)}
-        vkeys = set()
-        for p, q in vxs:
-            key = (p << shift) // q
-            crit[key] = (p, q)
-            vkeys.add(key)
-        bounds = []
-        for a, b, _, ln, ld, hn, hd in ends:
-            lo, hi = (ln << shift) // ld, (hn << shift) // hd
-            crit[lo], crit[hi] = (ln, ld), (hn, hd)
-            bounds.append((lo, hi))
-            if ln * 2 * a < -b * ld and -b * hd < hn * 2 * a:  # lo < apex < hi
-                crit.setdefault((-b << shift) // (2 * a), (-b, 2 * a))
-        through_keys = []
-        for num, det, i, j in crossings:
-            key = (num << shift) // det
-            crit.setdefault(key, (num, det))
-            through_keys.append((key, i, j))
+        keyed = {(p << shift) // q: (p, q) for p, q in crit}
+        for num, det, _, _ in crossings:
+            keyed.setdefault((num << shift) // det, (num, det))
 
-        keys = sorted(crit)
-        self.xs = [Fraction(*crit[key]) for key in keys]
+        keys = sorted(keyed)
+        left = [Fraction(*keyed[key]) for key in keys]
+        self.xs = left + [-x for x in reversed(left[:-1])]
         pos = {key: i for i, key in enumerate(keys)}
         self._origin = pos[0]
         starts: dict[int, list[int]] = {}
         stops: dict[int, int] = {}
-        for k, (lo, hi) in enumerate(bounds):
-            lo, hi = pos[lo], pos[hi]
-            starts.setdefault(lo, []).append(k)
-            stops[hi] = stops.get(hi, 0) + 1
+        for k, _, _, _, ln, ld, hn, hd in ends:
+            starts.setdefault(pos[(ln << shift) // ld], []).append(k)
+            if hn <= 0:
+                hi = pos[(hn << shift) // hd]
+                stops[hi] = stops.get(hi, 0) + 1
         through: dict[int, set[int]] = {}
-        for key, i, j in through_keys:
-            through.setdefault(pos[key], set()).update((i, j))
-        return starts, stops, through, {pos[key] for key in vkeys}
+        for num, det, i, j in crossings:
+            through.setdefault(pos[(num << shift) // det], set()).update((i, j))
+        return starts, stops, through, {pos[(p << shift) // q] for p, q in vxs}
 
     def _heights(self, entries: Sequence[int], p: int, q: int) -> list[int]:
         """y^2 * q^2 * L of column entries (arcs, FLOOR, CAP) at x = p/q."""
@@ -217,7 +228,7 @@ class FaceComplex:
     def _sweep(self, events) -> None:
         starts, stops, through, vertical = events
         xs = self.xs
-        nslab = len(xs) - 1
+        origin = self._origin
         heights = self._heights
         # a run is (first slab, level there + base, entry below, entry above);
         # last[r] is its last slab, face[r] its face; first_run[f] is the
@@ -239,7 +250,7 @@ class FaceComplex:
                     first_run.append(len(runs))
                 face.append(f)
                 runs.append((si, lvl + base, col[lvl], col[lvl + 1]))
-            last.extend([nslab - 1] * (hi - lo + 1))
+            last.extend([origin - 1] * (hi - lo + 1))
             return list(range(len(runs) - 1, len(runs) - 2 - hi + lo, -1))
 
         # col is the column bottom to top, FLOOR to CAP; arc k is col[where[k] - base],
@@ -253,7 +264,7 @@ class FaceComplex:
         left = (col[:], cells[:])
         self._base, self._depth, bottom = [base], [len(cells)], [cells[0]]
 
-        for b in range(1, nslab):
+        for b in range(1, origin):
             e, new, crossing = stops.get(b, 0), starts.get(b, ()), through.get(b, ())
             if e or new or crossing or b in vertical:
                 xb = xs[b]
@@ -322,16 +333,37 @@ class FaceComplex:
         # discriminant the face at infinity of the leftmost slab gets id 0
         self._face, self._first_run = face, first_run
         self._runs, self._last = runs, last
+        # a face whose cell in the last column has positive length at x = 0
+        # crosses it and is its own mirror, unless a vertical geodesic lies
+        # on x = 0. Every other face has a twin right of 0, which opens as
+        # the mirror of its last run: twins are numbered after the faces
+        # left of 0, in the scan order of those runs mirrored, that is by
+        # (-last slab, -level). At one slab, level + base orders as the level
+        own = set()
+        if origin not in vertical:
+            vals = heights(col, 0, 1)
+            own = {face[r] for lvl, r in enumerate(cells) if vals[lvl] < vals[lvl + 1]}
+        last_run = [0] * len(first_run)
+        for r, f in enumerate(face):
+            last_run[f] = r
+        self._twin_runs = sorted(
+            (last_run[f] for f in range(len(first_run)) if f not in own),
+            key=lambda r: (-last[r], -runs[r][1]))
+        twin = list(range(len(first_run)))
+        for i, r in enumerate(self._twin_runs, len(first_run)):
+            twin[face[r]] = i
+        self._twin = twin
         # the faces with a run under the cap: cusp membership without samples
-        self.cusp_faces = frozenset(f for f, run in zip(face, runs) if run[3] == CAP)
-        # the floor breaks at the walls, at x = 0 and wherever its face can
+        cusp = {f for f, run in zip(face, runs) if run[3] == CAP}
+        self.cusp_faces = frozenset(cusp | {twin[f] for f in cusp})
+        # the floor breaks at the left wall, at x = 0 and wherever its face can
         # change: an arc ends on a wall or on the unit circle, so arcs leave
         # and join the floor only at arc ends. A vertical line x = x0 cuts it
         # too, but at x = 0 or at an arc end: for 0 < |x0| < 1/2, S maps the
         # line to a geodesic of the same D that leaves the unit circle at -x0
         # for a wall, and its mirror under z -> -conj(z) is an arc ending at x0
-        breaks = {0, nslab, self._origin, *starts, *stops}
-        self._build_boundary(left, (col, cells), bottom, sorted(breaks))
+        breaks = {0, origin, *starts, *stops}
+        self._build_boundary(left, bottom, sorted(breaks))
 
     def _wall_segments(
         self, col: list[int], cells: list[int], x: Fraction
@@ -346,42 +378,52 @@ class FaceComplex:
         return tuple(segs)
 
     def _build_boundary(
-        self, left: tuple[list[int], list[int]], right: tuple[list[int], list[int]],
-        bottom: list[int], breaks: list[int],
+        self, left: tuple[list[int], list[int]], bottom: list[int], breaks: list[int],
     ) -> None:
-        """Wall segments from the first and the last column, given as (column,
-        runs); bottom segments from the floor run of each slab, one per slab,
-        between the floor's breaks, given as positions in xs."""
+        """Wall segments from the first column, given as (column, runs);
+        bottom segments from the floor run of each slab left of 0, one per
+        slab, between the floor's breaks, given as positions in xs. The
+        right wall and the floor right of 0 are their mirrors, with each
+        face mapped to its twin."""
         if self.even_square:
             # the walls and the floor lie on geodesics: no face borders them
             self.left_segments = self.right_segments = self.bottom_segments = ()
             return
+        twin = self._twin
         self.left_segments = self._wall_segments(*left, -HALF)
-        self.right_segments = self._wall_segments(*right, HALF)
+        self.right_segments = tuple(
+            WallSegment(s.s_lo, s.s_hi, twin[s.face]) for s in self.left_segments)
         # between breaks the floor cell keeps its face
         xs = self.xs
-        self.bottom_segments = tuple(
-            BottomSegment(xs[i], xs[j], self._face[bottom[i]])
-            for i, j in zip(breaks, breaks[1:])
-        )
+        half = [BottomSegment(xs[i], xs[j], self._face[bottom[i]])
+                for i, j in zip(breaks, breaks[1:])]
+        self.bottom_segments = tuple(half + [
+            BottomSegment(-s.x_hi, -s.x_lo, twin[s.face]) for s in reversed(half)])
 
     # -- queries --------------------------------------------------------
 
     @cached_property
     def samples(self) -> tuple[AlgebraicPoint, ...]:
-        """Per face id, a point inside it: the middle of its first run's cell."""
-        samples = []
-        for r in self._first_run:
-            si, _, below, above = self._runs[r]
-            m = (self.xs[si] + self.xs[si + 1]) / 2
+        """Per face id, a point inside it: the middle of its first run's cell,
+        for a twin the mirror of the middle of its face's last run's cell."""
+        xs, runs = self.xs, self._runs
+
+        def middle(r: int, si: int) -> tuple[Fraction, Fraction]:
+            _, _, below, above = runs[r]
+            m = (xs[si] + xs[si + 1]) / 2
             lo, hi = self._heights((below, above), m.numerator, m.denominator)
-            mid = Fraction(lo + hi, 2 * m.denominator ** 2 * self._lcm_a)
-            samples.append(AlgebraicPoint(m, mid))
+            return m, Fraction(lo + hi, 2 * m.denominator ** 2 * self._lcm_a)
+
+        samples = [AlgebraicPoint(*middle(r, runs[r][0])) for r in self._first_run]
+        for r in self._twin_runs:
+            m, mid = middle(r, self._last[r])
+            samples.append(AlgebraicPoint(-m, mid))
         return tuple(samples)
 
     @cached_property
     def _rows(self) -> tuple[list[tuple[int, ...]], list[list[int]]]:
-        """slab_arcs and face_of, laid out from the runs."""
+        """slab_arcs and face_of, laid out from the runs left of 0 and
+        mirrored right of it."""
         arcs_rows = [[0] * (d - 1) for d in self._depth]
         face_rows = [[0] * d for d in self._depth]
         base = self._base
@@ -391,7 +433,14 @@ class FaceComplex:
                 face_rows[si][lvl] = fid
                 if above != CAP:
                     arcs_rows[si][lvl] = above
-        return [tuple(row) for row in arcs_rows], face_rows
+        # arc k of [a, b, c] mirrors to the arc of [a, -b, c], at the same level
+        index = {(arc.a, arc.b, arc.c): k for k, arc in enumerate(self.arcs)}
+        mirror = [index[arc.a, -arc.b, arc.c] for arc in self.arcs]
+        twin = self._twin
+        arcs_rows = [tuple(row) for row in arcs_rows]
+        arcs_rows += [tuple([mirror[k] for k in row]) for row in reversed(arcs_rows)]
+        face_rows += [[twin[f] for f in row] for row in reversed(face_rows)]
+        return arcs_rows, face_rows
 
     @property
     def slab_arcs(self) -> list[tuple[int, ...]]:
@@ -404,7 +453,7 @@ class FaceComplex:
         return self._rows[1]
 
     def face_count(self) -> int:
-        return len(self._first_run)
+        return len(self._first_run) + len(self._twin_runs)
 
     def cusp_face_count(self) -> int:
         return len(self.cusp_faces)

@@ -8,8 +8,11 @@ each independent non-tree edge yields one cocycle constraint on the orbit
 root's polynomial.
 
 A wall or floor on a geodesic has no segments. The walls must carry the same
-spans and each bottom segment its mirror, else GluingMismatch: the only check
-of the sweep's boundary.
+spans and each bottom segment its mirror, else GluingMismatch. The arrangement
+builds the right wall and the floor right of x = 0 as mirrors of the left
+half, so this check guards the gluing's input, not the sweep: the pinned
+arrangement digests, the grid and Euler oracles and the all-pairs merge
+reference in the tests are what check the sweep.
 """
 
 from __future__ import annotations

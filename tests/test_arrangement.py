@@ -2,7 +2,7 @@ from __future__ import annotations
 
 import hashlib
 from fractions import Fraction
-from math import isqrt
+from math import isqrt, lcm
 
 import pytest
 
@@ -157,6 +157,24 @@ def test_stack_heights_sorted_and_distinct():
             heights = [fc.arcs[k].height_sq(mid) for k in idxs]
             assert heights == sorted(heights)
             assert len(heights) == len(set(heights))
+
+
+def test_slab_columns_are_the_live_arcs():
+    # every slab, the right half too, holds exactly the arcs over its
+    # midpoint p/q, bottom to top; built from fc.arcs alone, not by
+    # mirroring. The key is Arc.height_sq(p/q) * q^2 * lcm(a), in integers:
+    # with Fractions D = 1201 alone takes 10 s
+    for disc in [d for d in range(1, 301) if d % 4 in (0, 1)] + [1201]:
+        fc = build_arrangement(disc)
+        scale = lcm(*(arc.a for arc in fc.arcs))
+        for si, idxs in enumerate(fc.slab_arcs):
+            mid = (fc.xs[si] + fc.xs[si + 1]) / 2
+            p, q = mid.numerator, mid.denominator
+            live = sorted(
+                (-(arc.a * p * p + arc.b * p * q + arc.c * q * q) * (scale // arc.a), k)
+                for k, arc in enumerate(fc.arcs) if arc.lo < mid < arc.hi
+            )
+            assert list(idxs) == [k for _, k in live], (disc, si)
 
 
 def test_exceptional_faces_are_real_neighbors():

@@ -104,7 +104,10 @@ def test_edges_map_into_their_destination_face():
     [("right_segments", "wall segments differ"), ("bottom_segments", "has no mirror")],
 )
 def test_gluing_rejects_unpaired_boundary(side, message):
-    # the sweep's boundary is checked only here: drop one segment of a side
+    # drop one segment of a side. The arrangement mirrors the right wall and
+    # the right floor from the left half, so they pair off by construction;
+    # the sweep itself is checked by the pinned arrangement digests, the
+    # grid and Euler oracles and the all-pairs merge reference
     fc = build_arrangement(5)
     setattr(fc, side, getattr(fc, side)[:-1])
     with pytest.raises(GluingMismatch, match=message):
