@@ -37,6 +37,10 @@ mirror of its face's last run, so the twins follow, ordered by that run's
 the twins and the right half of slab_arcs and face_of are mirrored from the
 left half.
 
+The sweep reads the boundary where it meets it: the left wall from the first
+column, and the floor's face at x = -1/2 and wherever an arc starts or ends,
+the only places it can change; its last segment ends at x = 0.
+
 Heights are compared as integers. At x = p/q the arc of [a, b, c] (a > 0)
 has y^2 = -(a p^2 + b p q + c q^2) / (a q^2), so scaling every height at x by
 q^2 * L, with L the lcm of the leading coefficients of all arcs, gives the
@@ -261,8 +265,22 @@ class FaceComplex:
         for i in range(1, len(col) - 1):
             where[col[i]] = i
         cells = open_runs(0, len(col) - 2, 0)  # cells[lvl]: run of the cell above col[lvl]
-        left = (col[:], cells[:])
-        self._base, self._depth, bottom = [base], [len(cells)], [cells[0]]
+        # the left wall, read from the first column at x = -1/2: one segment
+        # per cell of positive length, the top one up to the cap
+        vals = heights(col, -1, 2)
+        scale = 4 * self._lcm_a
+        wall = [WallSegment(Fraction(vals[k], scale),
+                            None if k == len(vals) - 2 else Fraction(vals[k + 1], scale),
+                            face[cells[k]])
+                for k in range(len(vals) - 1) if vals[k] < vals[k + 1]]
+        # the floor, as (position in xs, face) wherever its cell starts. An arc
+        # ends on a wall or on the unit circle, so arcs leave and join the
+        # floor only at arc ends. A vertical line x = x0 cuts it too, but at
+        # x = 0 or at an arc end: for 0 < |x0| < 1/2, S maps the line to a
+        # geodesic of the same D that leaves the unit circle at -x0 for a wall,
+        # and its mirror under z -> -conj(z) is an arc ending at x0
+        floor = [(0, face[cells[0]])]
+        self._base, self._depth = [base], [len(cells)]
 
         for b in range(1, origin):
             e, new, crossing = stops.get(b, 0), starts.get(b, ()), through.get(b, ())
@@ -324,9 +342,10 @@ class FaceComplex:
                         cells[lo_l:c1 + e + 1] = open_runs(lo_r, c1 + s, b, cont)
                         for r in ended:
                             last[r] = b - 1
+                if e or new:
+                    floor.append((b, face[cells[0]]))
             self._base.append(base)
             self._depth.append(len(cells))
-            bottom.append(cells[0])
 
         # a face's id is its number as its first run opened, so ids follow
         # the scan "slabs left to right, each column cap-down": for every
@@ -356,49 +375,18 @@ class FaceComplex:
         # the faces with a run under the cap: cusp membership without samples
         cusp = {f for f, run in zip(face, runs) if run[3] == CAP}
         self.cusp_faces = frozenset(cusp | {twin[f] for f in cusp})
-        # the floor breaks at the left wall, at x = 0 and wherever its face can
-        # change: an arc ends on a wall or on the unit circle, so arcs leave
-        # and join the floor only at arc ends. A vertical line x = x0 cuts it
-        # too, but at x = 0 or at an arc end: for 0 < |x0| < 1/2, S maps the
-        # line to a geodesic of the same D that leaves the unit circle at -x0
-        # for a wall, and its mirror under z -> -conj(z) is an arc ending at x0
-        breaks = {0, origin, *starts, *stops}
-        self._build_boundary(left, bottom, sorted(breaks))
-
-    def _wall_segments(
-        self, col: list[int], cells: list[int], x: Fraction
-    ) -> tuple[WallSegment, ...]:
-        vals = self._heights(col, x.numerator, x.denominator)
-        scale = x.denominator ** 2 * self._lcm_a
-        segs = []
-        for k in range(len(vals) - 1):
-            if vals[k] < vals[k + 1]:
-                hi = None if k == len(vals) - 2 else Fraction(vals[k + 1], scale)
-                segs.append(WallSegment(Fraction(vals[k], scale), hi, self._face[cells[k]]))
-        return tuple(segs)
-
-    def _build_boundary(
-        self, left: tuple[list[int], list[int]], bottom: list[int], breaks: list[int],
-    ) -> None:
-        """Wall segments from the first column, given as (column, runs);
-        bottom segments from the floor run of each slab left of 0, one per
-        slab, between the floor's breaks, given as positions in xs. The
-        right wall and the floor right of 0 are their mirrors, with each
-        face mapped to its twin."""
         if self.even_square:
             # the walls and the floor lie on geodesics: no face borders them
             self.left_segments = self.right_segments = self.bottom_segments = ()
             return
-        twin = self._twin
-        self.left_segments = self._wall_segments(*left, -HALF)
-        self.right_segments = tuple(
-            WallSegment(s.s_lo, s.s_hi, twin[s.face]) for s in self.left_segments)
-        # between breaks the floor cell keeps its face
-        xs = self.xs
-        half = [BottomSegment(xs[i], xs[j], self._face[bottom[i]])
-                for i, j in zip(breaks, breaks[1:])]
+        # the right wall and the floor right of 0 are the mirrors of the left
+        # wall and the floor left of it, with each face mapped to its twin
+        self.left_segments = tuple(wall)
+        self.right_segments = tuple(WallSegment(w.s_lo, w.s_hi, twin[w.face]) for w in wall)
+        ends = [b for b, _ in floor[1:]] + [origin]
+        half = [BottomSegment(xs[i], xs[j], f) for (i, f), j in zip(floor, ends)]
         self.bottom_segments = tuple(half + [
-            BottomSegment(-s.x_hi, -s.x_lo, twin[s.face]) for s in reversed(half)])
+            BottomSegment(-h.x_hi, -h.x_lo, twin[h.face]) for h in reversed(half)])
 
     # -- queries --------------------------------------------------------
 

@@ -216,9 +216,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_faces)
 
     p = sub.add_parser("sweep", help="verify the dimension laws over a range")
-    p.add_argument("--max-disc", type=_positive_int, required=True)
-    p.add_argument("--weights", default="0,-2,-4")
-    p.add_argument("--jobs", type=_positive_int, default=1)
+    p.add_argument("--max-disc", type=_positive_int, required=True, help="the largest D swept")
+    p.add_argument("--weights", default="0,-2,-4",
+                   help="comma-separated; write --weights=-2,-4 when the first is negative")
+    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
     p.add_argument("--augmented", action="store_true")
     p.set_defaults(func=cmd_sweep)
     return parser

@@ -7,6 +7,10 @@ boundary segment. Orbits of the resulting graph carry transport words, and
 each independent non-tree edge yields one cocycle constraint on the orbit
 root's polynomial.
 
+On the boundary, T on a wall and S on the unit circle both act as
+z -> -conj(z) does, so a GluingEdge joins a face to its mirror image and an
+orbit holds one face or a face and its twin.
+
 A wall or floor on a geodesic has no segments. The walls must carry the same
 spans and each bottom segment its mirror, else GluingMismatch. The arrangement
 builds the right wall and the floor right of x = 0 as mirrors of the left
@@ -33,7 +37,6 @@ class GluingEdge:
     src: int
     dst: int
     gen: Mat2
-    segment: tuple  # ("wall", s_lo, s_hi) or ("bottom", x_lo, x_hi)
 
 
 @dataclass(frozen=True)
@@ -47,14 +50,17 @@ def build_gluing_graph(fc: FaceComplex) -> GluingGraph:
 
     Wall edges run left face -> right face with generator T; bottom edges run
     from the segment in x <= 0 to its mirror with generator S, one edge per
-    mirror pair (S is an involution, so one direction suffices).
+    mirror pair (S is an involution, so one direction suffices). The edges
+    come in boundary order: one T edge per entry of fc.left_segments, in
+    order, then one S edge per bottom segment at x <= 0, in
+    fc.bottom_segments order.
     """
     edges: list[GluingEdge] = []
     left, right = fc.left_segments, fc.right_segments
     if [(s.s_lo, s.s_hi) for s in left] != [(s.s_lo, s.s_hi) for s in right]:
         raise GluingMismatch(f"wall segments differ for disc {fc.disc}")
     for ls, rs in zip(left, right):
-        edges.append(GluingEdge(ls.face, rs.face, T, ("wall", ls.s_lo, ls.s_hi)))
+        edges.append(GluingEdge(ls.face, rs.face, T))
     by_span = {(seg.x_lo, seg.x_hi): seg for seg in fc.bottom_segments}
     for seg in fc.bottom_segments:
         if seg.x_hi > 0:
@@ -62,7 +68,7 @@ def build_gluing_graph(fc: FaceComplex) -> GluingGraph:
         mirror = by_span.get((-seg.x_hi, -seg.x_lo))
         if mirror is None:
             raise GluingMismatch(f"bottom segment {seg} has no mirror, disc {fc.disc}")
-        edges.append(GluingEdge(seg.face, mirror.face, S, ("bottom", seg.x_lo, seg.x_hi)))
+        edges.append(GluingEdge(seg.face, mirror.face, S))
     return GluingGraph(fc.face_count(), tuple(edges))
 
 

@@ -460,6 +460,10 @@ def test_sweep_small(capsys):
     assert "D=16 k=-2 dim=54 rF=18 orbits=18 bound=54 evenSquare=true" in lines
     assert "D=5 k=-2 dim=2 rF=3 orbits=2 bound=9 evenSquare=false" in lines
     assert lines[-1] == "sweep ok: 10 discriminants, weights [0, -2]"
+    # a list that starts with a negative weight is one token with "="
+    code, out, err = run(capsys, "sweep", "--max-disc", "20", "--weights=-2,-4")
+    assert code == 0 and err == ""
+    assert out.splitlines()[-1].endswith("weights [-2, -4]")
 
 
 # sha256 of `mlp sweep --max-disc 150 --weights 0,-2,-4` stdout
@@ -481,12 +485,17 @@ def test_sweep_parallel_matches_serial(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_150_SHA256, jobs
 
 
+# sha256 of `mlp sweep --max-disc 60 --weights 0,-2 --augmented` stdout
+SWEEP_AUGMENTED_60_SHA256 = "c9335319a24bb79134b20a8c3dcd9479056b4b73f37127dbe24c393686f7a7a7"
+
+
 def test_sweep_augmented(capsys):
     code, out, _ = run(
-        capsys, "sweep", "--max-disc", "12", "--weights", "0,-2", "--augmented"
+        capsys, "sweep", "--max-disc", "60", "--weights", "0,-2", "--augmented"
     )
     assert code == 0
     assert out.splitlines()[-1].startswith("sweep ok")
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_AUGMENTED_60_SHA256
 
 
 def test_sweep_reports_law_failures(capsys, monkeypatch):

@@ -32,8 +32,18 @@ def _graph(disc: int) -> GluingGraph:
     return build_gluing_graph(build_arrangement(disc))
 
 
+def _edge_segments(fc) -> list[tuple[GluingEdge, tuple]]:
+    """Each gluing edge with its segment, in the documented edge order: one T
+    edge per left wall segment, then one S edge per bottom segment at x <= 0."""
+    edges = build_gluing_graph(fc).edges
+    segs = [("wall", s.s_lo, s.s_hi) for s in fc.left_segments]
+    segs += [("bottom", s.x_lo, s.x_hi) for s in fc.bottom_segments if s.x_hi <= 0]
+    assert len(edges) == len(segs)
+    return list(zip(edges, segs))
+
+
 def test_d5_edges_pinned():
-    edges = {(e.src, e.dst, e.gen, e.segment) for e in _graph(5).edges}
+    edges = {(e.src, e.dst, e.gen, seg) for e, seg in _edge_segments(build_arrangement(5))}
     assert edges == {
         (1, 2, T, ("wall", Fraction(3, 4), Fraction(5, 4))),
         (0, 0, T, ("wall", Fraction(5, 4), None)),
@@ -71,11 +81,11 @@ def test_d12_bottom_self_loop():
 def test_wall_edges_pair_heights_exactly():
     for disc in (5, 8, 9, 12, 13, 17, 20, 100):
         fc = build_arrangement(disc)
-        graph = build_gluing_graph(fc)
-        wall_edges = [e for e in graph.edges if e.segment[0] == "wall"]
+        wall_edges = [(e, seg) for e, seg in _edge_segments(fc) if e.gen == T]
         assert len(wall_edges) == len(fc.left_segments)
-        spans = sorted((s.s_lo, s.s_hi) for s in fc.left_segments)
-        assert sorted(e.segment[1:] for e in wall_edges) == spans
+        assert [seg[0] for _, seg in wall_edges] == ["wall"] * len(wall_edges)
+        spans = sorted((s.s_lo, s.s_hi) for s in fc.right_segments)
+        assert sorted(seg[1:] for _, seg in wall_edges) == spans
 
 
 def test_edges_map_into_their_destination_face():
@@ -83,8 +93,7 @@ def test_edges_map_into_their_destination_face():
     # mapped by the edge's generator, lands in the face the edge names
     for disc in (d for d in range(1, 201) if d % 4 in (0, 1)):
         fc = build_arrangement(disc)
-        for e in build_gluing_graph(fc).edges:
-            kind, lo, hi = e.segment
+        for e, (kind, lo, hi) in _edge_segments(fc):
             if kind == "wall":
                 p = AlgebraicPoint(-HALF, lo + 1 if hi is None else (lo + hi) / 2)
             else:
@@ -114,6 +123,19 @@ def test_gluing_rejects_unpaired_boundary(side, message):
         build_gluing_graph(fc)
 
 
+def test_gluing_joins_each_face_to_its_mirror():
+    # on the boundary T (on a wall) and S (on the unit circle) act as
+    # z -> -conj(z) does, so an edge runs from a face to its mirror image and
+    # an orbit holds at most two faces
+    for disc in [*(d for d in range(1, 401) if d % 4 in (0, 1)), 1201, 2001, 2500]:
+        fc = build_arrangement(disc)
+        graph = build_gluing_graph(fc)
+        for e in graph.edges:
+            p = fc.samples[e.src]
+            assert fc.locate(AlgebraicPoint(-p.x, p.s)) == (e.dst,), (disc, e)
+        assert max(len(o.words) for o in orbits_and_cycles(graph)) <= 2, disc
+
+
 def test_orbit_words_start_at_root():
     # the root is an orbit's least face and its first key, with the identity
     # word; the orbits partition the faces in order of their roots
@@ -131,8 +153,8 @@ def test_orbit_words_start_at_root():
 def test_orbit_cycles_come_in_edge_order():
     # the walk from face 0 meets edge 2 (from face 1) before the self-loop,
     # edge 0 (from face 2); the cycles still follow the edges' order
-    edges = [(2, 2, S, 0), (0, 1, T, 1), (1, 2, T, 2), (0, 2, S, 3)]
-    graph = GluingGraph(3, tuple(GluingEdge(a, b, g, ("wall", i, None)) for a, b, g, i in edges))
+    edges = [(2, 2, S), (0, 1, T), (1, 2, T), (0, 2, S)]
+    graph = GluingGraph(3, tuple(GluingEdge(a, b, g) for a, b, g in edges))
     (orb,) = orbits_and_cycles(graph)
     assert list(orb.words.items()) == [(0, IDENTITY), (1, T.inv()), (2, S.inv())]
     assert orb.cycles == (S, S.inv() @ T @ T)
@@ -179,7 +201,7 @@ def test_orbit_data_invariant_under_face_relabeling():
             perm = list(range(graph.n_faces))
             rng.shuffle(perm)
             redges = tuple(
-                type(e)(perm[e.src], perm[e.dst], e.gen, e.segment) for e in graph.edges
+                type(e)(perm[e.src], perm[e.dst], e.gen) for e in graph.edges
             )
             rorbits = orbits_and_cycles(GluingGraph(graph.n_faces, redges))
             rpartition = sorted(
