@@ -24,7 +24,6 @@ from .geometry import InvalidDiscriminant, check_discriminant, enumerate_forms
 from .gluing import build_gluing_graph, orbits_and_cycles
 from .polyspace import InvalidWeight, check_laws, check_weight, compute_space, solve_space
 from .record import ResultRecord, faces_json, render_poly
-from .svgfig import svg_figure
 
 
 def _cache_path(disc: int, k: int, augmented: bool) -> str | None:
@@ -116,6 +115,9 @@ def cmd_faces(args: argparse.Namespace) -> int:
     fc = build_arrangement(args.disc)
     print(faces_json(fc))
     if args.svg:
+        # imported here: only --svg draws
+        from .svgfig import svg_figure
+
         with open(args.svg, "w", encoding="utf-8") as fh:
             fh.write(svg_figure(fc, precision=args.precision))
     return 0

@@ -3,20 +3,21 @@
 The left wall maps to the right wall under the translation T, and the bottom
 arc folds onto itself under the inversion S. An edge (src, dst, gen) records
 the matching condition "P_src = P_dst slashed by gen" along one identified
-boundary segment. Orbits of the resulting graph carry transport words, and
-each independent non-tree edge yields one cocycle constraint on the orbit
-root's polynomial.
+boundary segment.
 
 On the boundary, T on a wall and S on the unit circle both act as
-z -> -conj(z) does, so a GluingEdge joins a face to its mirror image and an
-orbit holds one face or a face and its twin.
+z -> -conj(z) does, so a GluingEdge joins a face to its mirror image: the
+mirror law. An orbit is one face, or a face left of x = 0 (its root) and its
+twin; the first edge between them gives the twin's transport word, and each
+other edge of the orbit one cocycle constraint on the root's polynomial.
 
 A wall or floor on a geodesic has no segments. The walls must carry the same
 spans and each bottom segment its mirror, else GluingMismatch. The arrangement
 builds the right wall and the floor right of x = 0 as mirrors of the left
 half, so this check guards the gluing's input, not the sweep: the pinned
 arrangement digests, the grid and Euler oracles and the all-pairs merge
-reference in the tests are what check the sweep.
+reference in the tests are what check the sweep. orbits_and_cycles likewise
+raises GluingMismatch on a graph the mirror law forbids.
 """
 
 from __future__ import annotations
@@ -29,7 +30,9 @@ from .geometry import IDENTITY, Mat2, S, T
 
 
 class GluingMismatch(RuntimeError):
-    """Boundary segments that must pair off failed to match up."""
+    """The gluing breaks the mirror law: boundary segments that must pair off
+    failed to match up, or an edge does not run from an orbit's root to the
+    root itself or its one twin."""
 
 
 @dataclass(frozen=True)
@@ -73,12 +76,13 @@ def build_gluing_graph(fc: FaceComplex) -> GluingGraph:
 
 
 class Orbit(NamedTuple):
-    """A connected component of the gluing graph, rooted at its least face.
+    """The faces the gluing identifies: a root, the orbit's least face, and
+    at most one twin, the root's mirror.
 
-    words maps each face f, in walk order from the root (its first key), to
-    the word that transports the root polynomial there (P_f = P_root | words[f]);
-    cycles are the words g with P_root = P_root | g, one per non-tree edge, in
-    edge order.
+    words maps each face f, root first (its first key), then its twin, to the
+    word that transports the root polynomial there (P_f = P_root | words[f]);
+    cycles are the words g with P_root = P_root | g, one per edge of the
+    orbit but the one that joins the twin, in edge order.
     """
 
     words: dict[int, Mat2]
@@ -86,42 +90,34 @@ class Orbit(NamedTuple):
 
 
 def orbits_and_cycles(graph: GluingGraph) -> tuple[Orbit, ...]:
-    # the faces on some edge, each with its (edge index, neighbour, forward)
-    # in edge order; a self-loop is listed once
-    adj: dict[int, list[tuple[int, int, bool]]] = {}
-    for ei, e in enumerate(graph.edges):
-        adj.setdefault(e.src, []).append((ei, e.dst, True))
-        if e.dst != e.src:
-            adj.setdefault(e.dst, []).append((ei, e.src, False))
+    """The orbits in order of their roots, built in one pass over the edges.
 
-    orbits: list[Orbit] = []
-    # every walked face's place in walk order, across the orbits
-    rank: dict[int, int] = {}
-    for root in range(graph.n_faces):
-        if root not in adj:
-            # a face on no gluing edge is an orbit by itself, with no walk
-            orbits.append(Orbit({root: IDENTITY}, ()))
-            continue
-        if root in rank:
-            continue
-        # breadth first: faces leave the walk in the order they join it, so an
-        # edge to a face that joined after cur (or to cur) is met here first
-        words = {root: IDENTITY}
-        rank[root] = len(rank)
-        walk = [root]
-        cycles: dict[int, Mat2] = {}
-        for cur in walk:
-            for ei, nbr, fwd in adj[cur]:
-                e = graph.edges[ei]
-                if nbr not in rank:
-                    rank[nbr] = len(rank)
-                    walk.append(nbr)
-                    # edge relation P_src = P_dst | gen, so crossing it forward
-                    # multiplies the word by gen^-1, backwards by gen
-                    words[nbr] = words[cur] @ (e.gen.inv() if fwd else e.gen)
-                elif rank[nbr] >= rank[cur]:
-                    # a non-tree edge: P_root|w_src = P_root|w_dst|gen
-                    # collapses to one relation at the root
-                    cycles[ei] = words[e.dst] @ e.gen @ words[e.src].inv()
-        orbits.append(Orbit(words, tuple(cycles[ei] for ei in sorted(cycles))))
-    return tuple(orbits)
+    By the mirror law every edge runs from a root to itself or to its twin,
+    so src <= dst and src has the identity word. An edge with src > dst, an
+    edge from a twin and an edge that would bring a third face, or a face of
+    another orbit, into the root's orbit raise GluingMismatch.
+    """
+    roots: dict[int, Orbit] = {}
+    # every face on some edge, with its orbit's root
+    root_of: dict[int, int] = {}
+    for e in graph.edges:
+        if e.src > e.dst:
+            raise GluingMismatch(f"edge {e} runs from a larger face")
+        if root_of.setdefault(e.src, e.src) != e.src:
+            raise GluingMismatch(f"edge {e} leaves a twin")
+        words, cycles = roots.setdefault(e.src, Orbit({e.src: IDENTITY}, ()))
+        if e.dst in words:
+            # P_root = P_dst | gen = P_root | words[dst] @ gen
+            roots[e.src] = Orbit(words, cycles + (words[e.dst] @ e.gen,))
+        elif len(words) == 1 and e.dst not in root_of:
+            # the first edge to the twin gives its word
+            words[e.dst] = e.gen.inv()
+            root_of[e.dst] = e.src
+        else:
+            raise GluingMismatch(f"edge {e} brings a third face or another orbit's face")
+    # a face on no gluing edge is an orbit by itself
+    return tuple(
+        roots.get(f) or Orbit({f: IDENTITY}, ())
+        for f in range(graph.n_faces)
+        if root_of.get(f, f) == f
+    )

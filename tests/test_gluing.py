@@ -17,12 +17,14 @@ from mlp import (
     apply_mobius,
     build_arrangement,
     build_gluing_graph,
+    eval_form,
     orbits_and_cycles,
 )
+from mlp.geometry import is_square
 from mlp.gluing import GluingMismatch
 from mlp.polyspace import fixed_space, slash_matrix
 
-from _support import quotient_orbit_count
+from _support import I_POINT, RHO_POINT, quotient_orbit_count
 
 HALF = Fraction(1, 2)
 MINUS_I = Mat2(-1, 0, 0, -1)
@@ -151,15 +153,56 @@ def test_orbit_words_start_at_root():
 
 
 def test_orbit_cycles_come_in_edge_order():
-    # the walk from face 0 meets edge 2 (from face 1) before the self-loop,
-    # edge 0 (from face 2); the cycles still follow the edges' order
-    edges = [(2, 2, S), (0, 1, T), (1, 2, T), (0, 2, S)]
+    # the orbits interleave in the edge list: each orbit's cycles follow the
+    # order of its own edges, self-loops and identity cycles included, and
+    # only the first edge to the twin gives a word
+    edges = [(2, 2, S), (0, 1, T), (2, 2, T), (0, 1, S), (0, 1, T)]
     graph = GluingGraph(3, tuple(GluingEdge(a, b, g) for a, b, g in edges))
-    (orb,) = orbits_and_cycles(graph)
-    assert list(orb.words.items()) == [(0, IDENTITY), (1, T.inv()), (2, S.inv())]
-    assert orb.cycles == (S, S.inv() @ T @ T)
+    pair, single = orbits_and_cycles(graph)
+    assert list(pair.words.items()) == [(0, IDENTITY), (1, T.inv())]
+    assert pair.cycles == (T.inv() @ S, IDENTITY)
+    assert list(single.words.items()) == [(2, IDENTITY)]
+    assert single.cycles == (S, T)
     with pytest.raises(AttributeError):
-        orb.cycles = ()
+        pair.cycles = ()
+
+
+@pytest.mark.parametrize(
+    "edges, message",
+    [
+        ([(1, 0, T)], "runs from a larger face"),
+        ([(0, 1, T), (1, 2, T)], "leaves a twin"),
+        ([(0, 1, T), (0, 2, S)], "third face"),
+        ([(0, 1, T), (1, 1, S)], "leaves a twin"),
+        ([(1, 1, S), (0, 1, T)], "another orbit"),
+    ],
+)
+def test_orbits_refuse_a_graph_that_is_not_mirror_shaped(edges, message):
+    # every edge joins a root to itself or to its one twin; a graph the
+    # mirror law forbids is refused, not walked
+    graph = GluingGraph(3, tuple(GluingEdge(a, b, g) for a, b, g in edges))
+    with pytest.raises(GluingMismatch, match=message):
+        orbits_and_cycles(graph)
+
+
+def test_cycle_census_matches_the_forms():
+    # Katok, Fuchsian Groups, ch. 2: a cycle word with |trace| 0 is elliptic
+    # of order 4 (at i), with |trace| 1 of order 3 or 6 (at rho), with
+    # |trace| 2 parabolic (at the cusp). Each orbit has at most one such
+    # cycle, none is hyperbolic, and the counts by type are (c_i, c_rho,
+    # c_cusp) as the deficit law reads them from the forms
+    for disc in (d for d in range(1, 601) if d % 4 in (0, 1)):
+        fc = build_arrangement(disc)
+        census = [0, 0, 0]
+        for orb in orbits_and_cycles(build_gluing_graph(fc)):
+            words = [g for g in orb.cycles if g != IDENTITY]
+            assert len(words) <= 1, (disc, orb)
+            for g in words:
+                assert abs(g.trace()) <= 2, (disc, g)
+                census[abs(g.trace())] += 1
+        c_i = all(eval_form(q, I_POINT) for q in fc.forms)
+        c_rho = all(eval_form(q, RHO_POINT) for q in fc.forms)
+        assert census == [c_i, c_rho, not is_square(disc)], disc
 
 
 def test_orbit_count_matches_quotient_oracle():
@@ -200,8 +243,13 @@ def test_orbit_data_invariant_under_face_relabeling():
         for _ in range(5):
             perm = list(range(graph.n_faces))
             rng.shuffle(perm)
+            # each edge runs from its smaller face; P_a = P_b | g says
+            # P_b = P_a | g^-1, so a swapped edge carries the inverse
             redges = tuple(
-                type(e)(perm[e.src], perm[e.dst], e.gen) for e in graph.edges
+                GluingEdge(perm[e.src], perm[e.dst], e.gen)
+                if perm[e.src] <= perm[e.dst]
+                else GluingEdge(perm[e.dst], perm[e.src], e.gen.inv())
+                for e in graph.edges
             )
             rorbits = orbits_and_cycles(GluingGraph(graph.n_faces, redges))
             rpartition = sorted(

@@ -160,6 +160,19 @@ def test_fixed_space_pins():
         assert fixed_space([slash_matrix(S @ S, w)], w) == units
 
 
+def test_fixed_space_counts_by_cycle_type():
+    # a parabolic word fixes 1 polynomial of degree <= w, an elliptic one of
+    # order 4 fixes 2*(w//4)+1 and one of order 3 or 6 fixes 2*(w//6)+1, by
+    # counting its eigenvalues; conjugating the word keeps the count
+    for c in (IDENTITY, T, Mat2(2, 1, 1, 1)):
+        for g in (T, S, S @ T, T @ S, S.inv()):
+            word = c.inv() @ g @ c
+            for w in range(0, 25, 2):
+                expected = {2: 1, 0: 2 * (w // 4) + 1, 1: 2 * (w // 6) + 1}
+                count = len(fixed_space([slash_matrix(word, w)], w))
+                assert count == expected[abs(word.trace())], (c, g, w)
+
+
 def test_fixed_space_normalization():
     # first nonzero coefficient of each basis vector is 1
     for disc in (5, 8, 9, 13):

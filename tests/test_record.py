@@ -217,7 +217,7 @@ def test_to_json_equals_json_dumps():
 
 def test_record_lists_faces_in_increasing_order():
     # the basis, and so the record, lists faces in increasing order whatever
-    # order the gluing walk met them in
+    # order an orbit's words list them in
     fc = build_arrangement(97)
     orbits = orbits_and_cycles(build_gluing_graph(fc))
     backwards = tuple(orb._replace(words=dict(reversed(orb.words.items()))) for orb in orbits)
