@@ -85,11 +85,6 @@ def slash_matrix(g: Mat2, w: int) -> SlashMatrix:
     return SlashMatrix(mat)
 
 
-def _units(w: int) -> list[tuple[Fraction, ...]]:
-    """The standard basis of coefficient vectors, 1, X, ..., X^w."""
-    return [tuple(_ONE if i == j else _ZERO for i in range(w + 1)) for j in range(w + 1)]
-
-
 def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fraction, ...]]:
     """Basis of the joint fixed space {v : M v = v for every M}.
 
@@ -146,11 +141,14 @@ class LocalPolySpace:
 
     dim is counted without a root vector per orbit: w+1 for every orbit with
     no non-identity cycle (and every face, when augmented), plus the size of
-    each cycle orbit's fixed space. basis[i] maps face index -> coefficient
-    vector, faces in increasing order; faces a given element vanishes on
-    identically are simply absent from its mapping. It is transported on
-    first read, each (slash matrix, root vector) pair once, so equal images
-    are one shared tuple and the basis is read-only.
+    each cycle orbit's fixed space. by_orbit holds the transport orbit by
+    orbit, built on first read: each face's list of images of the root
+    vectors, one list per (slash matrix, root list). A free root's images are
+    its matrix's columns; every other root vector is applied once per matrix.
+    basis flattens it, one element per root vector: basis[i] maps face index
+    -> coefficient vector, faces in increasing order; faces a given element
+    vanishes on identically are simply absent from its mapping. Equal images
+    are one shared tuple, so the view and the basis are read-only.
     """
 
     k: int
@@ -175,41 +173,71 @@ class LocalPolySpace:
         return _bound(self.k, self.complex.face_count())
 
     @cached_property
+    def units(self) -> list[tuple[Fraction, ...]]:
+        """The standard basis of coefficient vectors, 1, X, ..., X^w: the one
+        list every free root takes."""
+        n = self.w + 1
+        return [tuple(_ONE if i == j else _ZERO for i in range(n)) for j in range(n)]
+
+    @cached_property
     def roots(self) -> tuple[tuple[dict[int, Mat2], list], ...]:
         """Per orbit (per face when augmented), its transport words and the
-        vectors its root polynomial may take; free roots share one standard
-        basis."""
-        units = _units(self.w)
+        vectors its root polynomial may take; free roots share self.units."""
+        units = self.units
         if self.augmented:
             # no matching conditions at all: monomials on every face
             return tuple(({f: IDENTITY}, units) for f in range(self.complex.face_count()))
         return tuple((orb.words, self.fixed.get(i, units)) for i, orb in enumerate(self.orbits))
 
     @cached_property
-    def basis(self) -> tuple[dict[int, tuple[Fraction, ...]], ...]:
-        basis: list[dict[int, tuple[Fraction, ...]]] = []
-        # orbits share words and root vectors; the memo and self.roots keep
-        # every m and v alive, so no id is reused here
-        images: dict[tuple[int, int], tuple[Fraction, ...]] = {}
+    def by_orbit(self) -> tuple[tuple[tuple[int, ...], tuple[list, ...]], ...]:
+        """Per orbit with root vectors (per face when augmented), its faces in
+        increasing order and, per face, the list of vectors the root vectors
+        transport to. Equal transports are one shared list: the identity's
+        face holds the root's own list, and a free root's images under a word
+        are its slash matrix's columns."""
+        units = self.units
+        # orbits share words and root lists; the memo and self.roots keep
+        # every matrix and list alive, so no id is reused here
+        images: dict[tuple[int, int], list] = {}
 
-        def image(m: SlashMatrix, v: tuple[Fraction, ...]) -> tuple[Fraction, ...]:
-            key = (id(m), id(v))
+        def image(m: SlashMatrix, vecs: list) -> list:
+            key = (id(m), id(vecs))
             out = images.get(key)
             if out is None:
-                out = images[key] = m.apply(v)
+                if vecs is units:
+                    # m e_j is column j, read as apply would give it
+                    out = [tuple(Fraction(t) if t else _ZERO for t in col) for col in zip(*m.mat)]
+                else:
+                    out = [m.apply(v) for v in vecs]
+                images[key] = out
             return out
 
         memo, w = self.memo, self.w
+        view = []
         for words, vecs in self.roots:
             if not vecs:
                 continue
+            faces = tuple(sorted(words))
             # the memo holds every word of an orbit with vectors but never the
             # identity, whose face carries the root vector as is
-            transport = [
-                (f, None if g == IDENTITY else memo[(g, w)]) for f, g in sorted(words.items())
-            ]
-            for v in vecs:
-                basis.append({f: v if m is None else image(m, v) for f, m in transport})
+            rows = tuple(
+                vecs if words[f] == IDENTITY else image(memo[(words[f], w)], vecs)
+                for f in faces
+            )
+            view.append((faces, rows))
+        return tuple(view)
+
+    @cached_property
+    def basis(self) -> tuple[dict[int, tuple[Fraction, ...]], ...]:
+        """One element per root vector, flattened from by_orbit in its order."""
+        basis: list[dict[int, tuple[Fraction, ...]]] = []
+        for faces, rows in self.by_orbit:
+            if len(faces) == 1:
+                f = faces[0]
+                basis += ({f: v} for v in rows[0])
+            else:
+                basis += (dict(zip(faces, row)) for row in zip(*rows))
         return tuple(basis)
 
 

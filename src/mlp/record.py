@@ -100,17 +100,27 @@ class ResultRecord(dict):
     @classmethod
     def from_space(cls, space: LocalPolySpace) -> "ResultRecord":
         fc = space.complex
-        # basis vectors repeat as objects (shared transports, unit vectors);
-        # space.basis keeps each alive for this call, so no id is reused
-        spelt: dict[int, list[str]] = {}
+        # the vector lists repeat as objects (shared transports, the standard
+        # basis); space.by_orbit keeps each alive for this call, so no id is
+        # reused
+        spelt: dict[int, list[list[str]]] = {}
         names = [str(face) for face in range(fc.face_count())]
 
-        def strings(vec) -> list[str]:
-            out = spelt.get(id(vec))
+        def spell(vecs: list) -> list[list[str]]:
+            out = spelt.get(id(vecs))
             if out is None:
-                out = spelt[id(vec)] = [frac_str(c) for c in vec]
+                out = spelt[id(vecs)] = [[frac_str(c) for c in vec] for vec in vecs]
             return out
 
+        basis: list[dict[str, list[str]]] = []
+        # by_orbit lists each orbit's faces in increasing order
+        for faces, rows in space.by_orbit:
+            if len(faces) == 1:
+                name = names[faces[0]]
+                basis += [{name: strs} for strs in spell(rows[0])]
+            else:
+                keys = [names[face] for face in faces]
+                basis += [dict(zip(keys, row)) for row in zip(*map(spell, rows))]
         return cls(
             D=fc.disc,
             k=space.k,
@@ -119,32 +129,39 @@ class ResultRecord(dict):
             cuspFaces=fc.cusp_face_count(),
             orbitCount=len(space.orbits),
             dim=space.dim,
-            # space.basis lists each element's faces in increasing order
-            basis=[
-                {names[face]: strings(vec) for face, vec in elem.items()}
-                for elem in space.basis
-            ],
+            basis=basis,
             flags={"evenSquare": fc.even_square, "augmented": space.augmented},
             toolVersion=__version__,
         )
 
     def to_json(self) -> str:
         # coefficient strings and face keys are "-", digits and "/": no escaping.
-        # Blocks are keyed by the list: from_space shares equal lists, and self
-        # keeps each alive for this call, so no id is reused
+        # Blocks and tails are keyed by the list: from_space shares equal
+        # lists, and self keeps each alive for this call, so no id is reused
         blocks: dict[int, str] = {}
+        tails: dict[int, str] = {}
 
         def coeffs(strs: list[str]) -> str:
             out = blocks.get(id(strs))
             if out is None:
-                out = blocks[id(strs)] = _layout([f'"{c}"' for c in strs], " " * 6)
+                # _layout's list at pad 6, built with one join
+                body = '",\n        "'.join(strs)
+                out = blocks[id(strs)] = f'[\n        "{body}"\n      ]' if strs else "[]"
             return out
 
+        def element(elem: dict[str, list[str]]) -> str:
+            if len(elem) != 1:
+                return _layout([f'"{face}": {coeffs(strs)}' for face, strs in elem.items()],
+                               " " * 4, "{}")
+            # a one-face element is its face and a tail shared by its list
+            [(face, strs)] = elem.items()
+            tail = tails.get(id(strs))
+            if tail is None:
+                tail = tails[id(strs)] = f'": {coeffs(strs)}\n    }}'
+            return '{\n      "' + face + tail
+
         forms = [_layout([str(v) for v in form], " " * 4) for form in self["forms"]]
-        basis = [
-            _layout([f'"{face}": {coeffs(strs)}' for face, strs in elem.items()], " " * 4, "{}")
-            for elem in self["basis"]
-        ]
+        basis = [element(elem) for elem in self["basis"]]
         flags = [f'"{key}": {json.dumps(v)}' for key, v in self["flags"].items()]
         fields = [
             f'"D": {self["D"]}',

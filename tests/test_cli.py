@@ -585,6 +585,23 @@ def test_sweep_and_dim_build_no_face_sample(capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == DIM_33_SHA256
 
 
+# sha256 of `mlp dim` stdout for large queries: a non-square with two cycle
+# orbits, an odd square with 223 two-face orbits, and a high weight. D = 9801
+# at k = -2 gives 256a6b7f68c4216c…, but takes seconds, so it is not pinned
+LARGE_DIM_SHA256 = {
+    (9997, -2): "15ebe3d8864da390693b55b51201b89d7aa99036f8de88dcbf5120ed90485a1b",
+    (2401, -2): "ff170cdb8d3a9f214f9b7c20654f4df71678acd42a14bcde374a96b62b4088d1",
+    (1201, -8): "d9043b1929293f8b85eef03c8c6459c3975fb73a7fe8687a7ffc03568a1a422c",
+}
+
+
+@pytest.mark.parametrize("disc,k", sorted(LARGE_DIM_SHA256))
+def test_large_dim_output_pinned(capsys, disc, k):
+    code, out, err = run(capsys, "dim", "--disc", str(disc), "--weight", str(k))
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_DIM_SHA256[(disc, k)]
+
+
 def test_calls_in_one_process_share_no_state(capsys, tmp_path):
     assert cli.build_parser() is cli.build_parser()
     path = tmp_path / "rec.json"

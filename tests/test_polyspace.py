@@ -407,6 +407,33 @@ def test_matrices_of_another_size_are_refused():
         m2 @ m4
 
 
+def _reference_basis(space):
+    """The basis element by element: each root vector on every face of its
+    orbit, faces in increasing order, slashed by the face's word."""
+    memo, w = space.memo, space.w
+    return [
+        {f: v if g == IDENTITY else memo[(g, w)].apply(v) for f, g in sorted(words.items())}
+        for words, vecs in space.roots
+        for v in vecs
+    ]
+
+
+def test_basis_matches_element_by_element_transport():
+    for disc in [d for d in range(1, 151) if d % 4 in (0, 1)]:
+        fc = build_arrangement(disc)
+        orbits = orbits_and_cycles(build_gluing_graph(fc))
+        for k, augmented in [(0, False), (-2, False), (-8, False), (-12, False),
+                             (0, True), (-2, True)]:
+            space = solve_space(fc, orbits, k, augmented=augmented)
+            expect = _reference_basis(space)
+            assert len(space.basis) == len(expect), (disc, k, augmented)
+            for elem, ref in zip(space.basis, expect):
+                # the same vectors on the same faces, in the same order
+                assert list(elem.items()) == list(ref.items()), (disc, k, augmented)
+                for vec in elem.values():
+                    assert {Fraction} == set(map(type, vec)), (disc, k, augmented)
+
+
 def test_basis_transports_each_word_and_vector_once(monkeypatch):
     calls = []
     apply = SlashMatrix.apply
@@ -415,19 +442,51 @@ def test_basis_transports_each_word_and_vector_once(monkeypatch):
         calls.append(vec)
         return apply(self, vec)
 
+    class Columns:
+        """A transport matrix that counts the reads of its entries outside
+        apply: the basis read takes a free root's images as its columns."""
+
+        def __init__(self, m):
+            self.m, self.reads = m, 0
+
+        @property
+        def mat(self):
+            self.reads += 1
+            return self.m.mat
+
+        def apply(self, vec):
+            return self.m.apply(vec)
+
     monkeypatch.setattr(SlashMatrix, "apply", counted)
-    for disc, k, pairs in ((33, -4, 11), (97, -8, 21)):
+    for disc, k, pairs, free_words in ((33, -4, 1, 2), (97, -8, 3, 2), (145, -12, 5, 2)):
         space = compute_space(disc, k)
+        for key, m in list(space.memo.items()):
+            if isinstance(m, SlashMatrix):
+                space.memo[key] = Columns(m)
+        # apply runs once per word and root vector that is not a unit vector
         distinct = {
             (g, id(v))
             for words, vecs in space.roots
+            if vecs is not space.units
             for g in words.values()
             if g != IDENTITY
             for v in vecs
         }
+        free = {
+            g
+            for words, vecs in space.roots
+            if vecs is space.units
+            for g in words.values()
+            if g != IDENTITY
+        }
         calls.clear()
         basis = space.basis
         assert len(calls) == len(distinct) == pairs, (disc, k)
+        assert len(free) == free_words, (disc, k)
+        # each word's columns are read once, and only for a free root
+        for (g, w), m in space.memo.items():
+            if isinstance(m, Columns):
+                assert m.reads == (g in free), (disc, k, g)
         # faces reached by the same word from the same root vector share the image
         seen = {}
         elems = iter(basis)
@@ -437,7 +496,7 @@ def test_basis_transports_each_word_and_vector_once(monkeypatch):
                 for f, g in words.items():
                     if g != IDENTITY:
                         assert seen.setdefault((g, id(v)), elem[f]) is elem[f], (disc, k, f)
-        assert len(seen) == pairs
+        assert len(seen) == pairs + (space.w + 1) * free_words
         assert next(elems, None) is None
 
 
