@@ -142,13 +142,13 @@ class LocalPolySpace:
     dim is counted without a root vector per orbit: w+1 for every orbit with
     no non-identity cycle (and every face, when augmented), plus the size of
     each cycle orbit's fixed space. by_orbit holds the transport orbit by
-    orbit, built on first read: each face's list of images of the root
-    vectors, one list per (slash matrix, root list). A free root's images are
-    its matrix's columns; every other root vector is applied once per matrix.
-    basis flattens it, one element per root vector: basis[i] maps face index
-    -> coefficient vector, faces in increasing order; faces a given element
-    vanishes on identically are simply absent from its mapping. Equal images
-    are one shared tuple, so the view and the basis are read-only.
+    orbit, built on first read: each face's tuple of images of the root
+    vectors, one tuple per (slash matrix, root vectors). A free root's images
+    are its matrix's columns; every other root vector is applied once per
+    matrix. basis flattens it, one element per root vector: basis[i] maps face
+    index -> coefficient vector, faces in increasing order; faces a given
+    element vanishes on identically are simply absent from its mapping. Equal
+    images are one shared tuple; treat the basis as read-only.
     """
 
     k: int
@@ -173,14 +173,14 @@ class LocalPolySpace:
         return _bound(self.k, self.complex.face_count())
 
     @cached_property
-    def units(self) -> list[tuple[Fraction, ...]]:
+    def units(self) -> tuple[tuple[Fraction, ...], ...]:
         """The standard basis of coefficient vectors, 1, X, ..., X^w: the one
-        list every free root takes."""
+        tuple every free root takes."""
         n = self.w + 1
-        return [tuple(_ONE if i == j else _ZERO for i in range(n)) for j in range(n)]
+        return tuple(tuple(_ONE if i == j else _ZERO for i in range(n)) for j in range(n))
 
     @cached_property
-    def roots(self) -> tuple[tuple[dict[int, Mat2], list], ...]:
+    def roots(self) -> tuple[tuple[dict[int, Mat2], Sequence], ...]:
         """Per orbit (per face when augmented), its transport words and the
         vectors its root polynomial may take; free roots share self.units."""
         units = self.units
@@ -190,26 +190,28 @@ class LocalPolySpace:
         return tuple((orb.words, self.fixed.get(i, units)) for i, orb in enumerate(self.orbits))
 
     @cached_property
-    def by_orbit(self) -> tuple[tuple[tuple[int, ...], tuple[list, ...]], ...]:
+    def by_orbit(self) -> tuple[tuple[tuple[int, ...], tuple[tuple, ...]], ...]:
         """Per orbit with root vectors (per face when augmented), its faces in
-        increasing order and, per face, the list of vectors the root vectors
-        transport to. Equal transports are one shared list: the identity's
-        face holds the root's own list, and a free root's images under a word
-        are its slash matrix's columns."""
+        increasing order and, per face, the tuple of vectors the root vectors
+        transport to. Equal transports are one shared tuple: the identity's
+        face holds the root's own vectors, and a free root's images under a
+        word are its slash matrix's columns."""
         units = self.units
-        # orbits share words and root lists; the memo and self.roots keep
-        # every matrix and list alive, so no id is reused here
-        images: dict[tuple[int, int], list] = {}
+        # orbits share words and root lists; the memo, self.roots and these
+        # dicts keep every matrix, list and tuple alive, so no id is reused
+        owned: dict[int, tuple] = {id(units): units}
+        images: dict[tuple[int, int], tuple] = {}
 
-        def image(m: SlashMatrix, vecs: list) -> list:
+        def image(m: SlashMatrix, vecs: tuple) -> tuple:
             key = (id(m), id(vecs))
             out = images.get(key)
             if out is None:
                 if vecs is units:
                     # m e_j is column j, read as apply would give it
-                    out = [tuple(Fraction(t) if t else _ZERO for t in col) for col in zip(*m.mat)]
+                    out = tuple(tuple(Fraction(t) if t else _ZERO for t in col)
+                                for col in zip(*m.mat))
                 else:
-                    out = [m.apply(v) for v in vecs]
+                    out = tuple(m.apply(v) for v in vecs)
                 images[key] = out
             return out
 
@@ -218,11 +220,15 @@ class LocalPolySpace:
         for words, vecs in self.roots:
             if not vecs:
                 continue
+            # a fixed space is a list in the memo; its orbits share one tuple
+            own = owned.get(id(vecs))
+            if own is None:
+                own = owned[id(vecs)] = tuple(vecs)
             faces = tuple(sorted(words))
             # the memo holds every word of an orbit with vectors but never the
-            # identity, whose face carries the root vector as is
+            # identity, whose face carries the root vectors as they are
             rows = tuple(
-                vecs if words[f] == IDENTITY else image(memo[(words[f], w)], vecs)
+                own if words[f] == IDENTITY else image(memo[(words[f], w)], own)
                 for f in faces
             )
             view.append((faces, rows))
@@ -231,14 +237,9 @@ class LocalPolySpace:
     @cached_property
     def basis(self) -> tuple[dict[int, tuple[Fraction, ...]], ...]:
         """One element per root vector, flattened from by_orbit in its order."""
-        basis: list[dict[int, tuple[Fraction, ...]]] = []
-        for faces, rows in self.by_orbit:
-            if len(faces) == 1:
-                f = faces[0]
-                basis += ({f: v} for v in rows[0])
-            else:
-                basis += (dict(zip(faces, row)) for row in zip(*rows))
-        return tuple(basis)
+        return tuple(
+            dict(zip(faces, row)) for faces, rows in self.by_orbit for row in zip(*rows)
+        )
 
 
 def solve_space(

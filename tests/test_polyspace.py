@@ -498,6 +498,9 @@ def test_basis_transports_each_word_and_vector_once(monkeypatch):
                         assert seen.setdefault((g, id(v)), elem[f]) is elem[f], (disc, k, f)
         assert len(seen) == pairs + (space.w + 1) * free_words
         assert next(elems, None) is None
+        # orbits share the standard basis and their images, so no reader may grow them
+        assert type(space.units) is tuple
+        assert all(type(row) is tuple for _, rows in space.by_orbit for row in rows)
 
 
 def test_dim_bound_and_weight_zero_identity():
