@@ -55,17 +55,17 @@ differ by at least 1/qmax^2, so for 2^K > qmax^2 the key floor(p * 2^K / q)
 separates them and keeps their order, and equal values share one key
 whatever their p and q. The sweep sorts, deduplicates and indexes the
 abscissae up to 0 by that key alone and builds one Fraction per distinct
-abscissa; xs right of 0 is their negation.
+abscissa. Only the views read xs right of 0, their negation, so it is built
+when one first reads xs.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import isqrt, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .geometry import (
     HALF,
@@ -84,8 +84,7 @@ class OutOfRegion(ValueError):
     """The point lies outside the fundamental strip (walls or unit circle)."""
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     """A semicircle geodesic clipped to the domain: x in [lo, hi]."""
 
     a: int
@@ -99,8 +98,7 @@ class Arc:
         return Fraction(-(self.b * x + self.c), self.a) - x * x
 
 
-@dataclass(frozen=True)
-class WallSegment:
+class WallSegment(NamedTuple):
     """Maximal face-boundary interval on a wall; s_hi None means "up to the cap"."""
 
     s_lo: Fraction
@@ -108,8 +106,7 @@ class WallSegment:
     face: int
 
 
-@dataclass(frozen=True)
-class BottomSegment:
+class BottomSegment(NamedTuple):
     """Maximal face-boundary interval on the unit circle, in x coordinates."""
 
     x_lo: Fraction
@@ -156,12 +153,13 @@ class FaceComplex:
     # -- construction -------------------------------------------------
 
     def _events(self) -> tuple[dict[int, list[int]], dict[int, int], dict[int, set[int]], set]:
-        """Set xs, the sorted critical abscissae, and the position of x = 0
-        in it; return what happens at each position of xs up to x = 0: the
-        arcs that start there, how many end there, the arcs that cross
-        there while running through it, and the positions of the vertical
-        lines. Only x <= 0 is searched: z -> -conj(z) maps the geodesics of
-        D onto themselves, so xs right of 0 is xs left of it negated."""
+        """Set the sorted critical abscissae up to x = 0, the left half of
+        xs, and the position of x = 0 among them; return what happens at
+        each: the arcs that start there, how many end there, the arcs that
+        cross there while running through it, and the positions of the
+        vertical lines. Only x <= 0 is searched: z -> -conj(z) maps the
+        geodesics of D onto themselves, so xs right of 0 is xs left of it
+        negated."""
         # the arcs that reach x < 0: the only ones that start, end or cross there
         ends = [
             (k, arc.a, arc.b, arc.c, arc.lo.numerator, arc.lo.denominator,
@@ -201,8 +199,7 @@ class FaceComplex:
             keyed.setdefault((num << shift) // det, (num, det))
 
         keys = sorted(keyed)
-        left = [Fraction(*keyed[key]) for key in keys]
-        self.xs = left + [-x for x in reversed(left[:-1])]
+        self._left_xs = [Fraction(*keyed[key]) for key in keys]
         pos = {key: i for i, key in enumerate(keys)}
         self._origin = pos[0]
         starts: dict[int, list[int]] = {}
@@ -231,7 +228,7 @@ class FaceComplex:
 
     def _sweep(self, events) -> None:
         starts, stops, through, vertical = events
-        xs = self.xs
+        xs = self._left_xs
         origin = self._origin
         heights = self._heights
         # a run is (first slab, level there + base, entry below, entry above);
@@ -393,8 +390,9 @@ class FaceComplex:
     @cached_property
     def samples(self) -> tuple[AlgebraicPoint, ...]:
         """Per face id, a point inside it: the middle of its first run's cell,
-        for a twin the mirror of the middle of its face's last run's cell."""
-        xs, runs = self.xs, self._runs
+        for a twin the mirror of the middle of its face's last run's cell.
+        Every run lies left of 0."""
+        xs, runs = self._left_xs, self._runs
 
         def middle(r: int, si: int) -> tuple[Fraction, Fraction]:
             _, _, below, above = runs[r]
@@ -407,6 +405,13 @@ class FaceComplex:
             m, mid = middle(r, self._last[r])
             samples.append(AlgebraicPoint(-m, mid))
         return tuple(samples)
+
+    @cached_property
+    def xs(self) -> list[Fraction]:
+        """The sorted critical abscissae: the left half the sweep reads and
+        its negation right of 0."""
+        left = self._left_xs
+        return left + [-x for x in reversed(left[:-1])]
 
     @cached_property
     def _rows(self) -> tuple[list[tuple[int, ...]], list[list[int]]]:

@@ -51,10 +51,14 @@ def _store(path: str, text: str) -> None:
         print(f"warning: cache record {path} not written: {exc}", file=sys.stderr)
 
 
-def _record(disc: int, k: int, augmented: bool) -> tuple[str, ResultRecord]:
+def _record(
+    disc: int, k: int, augmented: bool, *, listed: bool = False
+) -> tuple[str, ResultRecord | None]:
     """The record's JSON text and object. A cached record is served verbatim,
     and only if it is well-formed (`ResultRecord.from_json` reads it) and
-    names this query's D, k and augmented flag."""
+    names this query's D, k and augmented flag. A computed record's text is
+    written straight from its space, and its object is built only when the
+    caller lists it (`listed`); otherwise it is None."""
     check_discriminant(disc)
     check_weight(k)
     path = _cache_path(disc, k, augmented)
@@ -68,11 +72,11 @@ def _record(disc: int, k: int, augmented: bool) -> tuple[str, ResultRecord]:
         if rec is None or (rec["D"], rec["k"], rec["flags"]["augmented"]) != (disc, k, augmented):
             raise OSError(f"cache record {path} does not answer this query; remove it")
         return text, rec
-    rec = ResultRecord.from_space(compute_space(disc, k, augmented=augmented))
-    text = rec.to_json()
+    space = compute_space(disc, k, augmented=augmented)
+    text = ResultRecord.to_json(space)
     if path:
         _store(path, text)
-    return text, rec
+    return text, ResultRecord.from_space(space) if listed else None
 
 
 def cmd_forms(args: argparse.Namespace) -> int:
@@ -88,7 +92,7 @@ def cmd_dim(args: argparse.Namespace) -> int:
 
 
 def cmd_basis(args: argparse.Namespace) -> int:
-    text, rec = _record(args.disc, args.weight, args.augmented)
+    text, rec = _record(args.disc, args.weight, args.augmented, listed=True)
     lines = [
         f"D={rec['D']} k={rec['k']} dim={rec['dim']} rF={rec['rF']} "
         f"cuspFaces={rec['cuspFaces']} orbitCount={rec['orbitCount']}"

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 HALF = Fraction(1, 2)
 
@@ -46,18 +46,25 @@ def is_even_square(disc: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Mat2:
-    """Element of SL2(Z), acting on the upper half-plane by Moebius maps."""
-
+class _Entries(NamedTuple):
     a: int
     b: int
     c: int
     d: int
 
-    def __post_init__(self) -> None:
-        if self.a * self.d - self.b * self.c != 1:
-            raise ValueError(f"determinant must be 1: {self}")
+
+class Mat2(_Entries):
+    """Element of SL2(Z), acting on the upper half-plane by Moebius maps.
+
+    A tuple of its entries (a, b, c, d), so equality and hash run in C; it
+    also equals that plain tuple."""
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int, d: int) -> "Mat2":
+        if a * d - b * c != 1:
+            raise ValueError(f"determinant must be 1: [[{a},{b}],[{c},{d}]]")
+        return tuple.__new__(cls, (a, b, c, d))
 
     def __matmul__(self, other: "Mat2") -> "Mat2":
         return Mat2(
@@ -143,27 +150,28 @@ def reduce_point(p: AlgebraicPoint) -> tuple[Mat2, AlgebraicPoint]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class QuadForm:
-    """Integral binary quadratic form [a, b, c] with positive discriminant.
-
-    Stored with the sign normalized so that a > 0, or a = 0 and b > 0; the
-    geodesic a|tau|^2 + b x + c = 0 does not see the overall sign.
-    """
-
+class _Coefficients(NamedTuple):
     a: int
     b: int
     c: int
 
-    def __post_init__(self) -> None:
-        a, b, c = self.a, self.b, self.c
+
+class QuadForm(_Coefficients):
+    """Integral binary quadratic form [a, b, c] with positive discriminant.
+
+    Stored with the sign normalized so that a > 0, or a = 0 and b > 0; the
+    geodesic a|tau|^2 + b x + c = 0 does not see the overall sign. A tuple of
+    its coefficients, which it also equals.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a: int, b: int, c: int) -> "QuadForm":
         if a < 0 or (a == 0 and b < 0):
             a, b, c = -a, -b, -c
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
-            object.__setattr__(self, "c", c)
         if b * b - 4 * a * c <= 0:
             raise ValueError(f"form [{a},{b},{c}] must have positive discriminant")
+        return tuple.__new__(cls, (a, b, c))
 
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c

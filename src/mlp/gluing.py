@@ -35,8 +35,7 @@ class GluingMismatch(RuntimeError):
     root itself or its one twin."""
 
 
-@dataclass(frozen=True)
-class GluingEdge:
+class GluingEdge(NamedTuple):
     src: int
     dst: int
     gen: Mat2

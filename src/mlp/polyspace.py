@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import isqrt, lcm
+from math import gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence, Union
 
@@ -37,11 +37,13 @@ _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:
+    # one pass of p per nonzero term of q: a word with a zero entry makes
+    # every power of (cX+d) in slash_matrix a monomial
     out = [0] * (len(p) + len(q) - 1)
-    for i, pi in enumerate(p):
-        if pi:
-            for j, qj in enumerate(q):
-                out[i + j] += pi * qj
+    for j, qj in enumerate(q):
+        if qj:
+            for i, pi in enumerate(p, j):
+                out[i] += pi * qj
     return out
 
 
@@ -81,20 +83,19 @@ def slash_matrix(g: Mat2, w: int) -> SlashMatrix:
         up.append(_poly_mul(up[-1], [g.b, g.a]))
         down.append(_poly_mul(down[-1], [g.d, g.c]))
     cols = [_poly_mul(up[j], down[w - j]) for j in range(w + 1)]
-    mat = tuple(tuple(cols[j][i] for j in range(w + 1)) for i in range(w + 1))
-    return SlashMatrix(mat)
+    return SlashMatrix(tuple(zip(*cols)))
 
 
 def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fraction, ...]]:
     """Basis of the joint fixed space {v : M v = v for every M}.
 
-    Fraction-free Gauss-Jordan (Bareiss, 1968) on the integer rows of M - I:
-    after each pivot every pivot row holds the same determinant d at its own
-    pivot and zeros in the other pivot columns, and each division by the
-    previous d is exact, so the rows are d times the reduced echelon form.
-    Each basis vector is scaled so its first nonzero coefficient (lowest
-    degree) is 1, and the vectors come out ordered by free column. With no
-    constraints this is the standard basis.
+    Integer Gauss-Jordan on the rows of M - I, each kept primitive (divided by
+    the gcd of its entries): a pivot updates only the rows with a nonzero
+    entry in its column, so each row stays a multiple of its row in the
+    reduced echelon form. A kernel vector is read off over one lcm of the
+    pivot entries and scaled so its first nonzero coefficient (lowest degree)
+    is 1; the vectors come out ordered by free column. With no constraints
+    this is the standard basis.
     """
     n = w + 1
     rows: list[list[int]] = []
@@ -104,9 +105,8 @@ def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fracti
         for i in range(n):
             row = [m.mat[i][j] - (i == j) for j in range(n)]
             if any(row):
-                rows.append(row)
+                rows.append(_primitive(row))
     pivots: list[int] = []
-    d = 1
     for col in range(n):
         r = len(pivots)
         hit = next((i for i in range(r, len(rows)) if rows[i][col]), None)
@@ -115,24 +115,32 @@ def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fracti
         rows[r], rows[hit] = rows[hit], rows[r]
         prow, p = rows[r], rows[r][col]
         for i, row in enumerate(rows):
-            if i != r:
-                f = row[col]
-                rows[i] = [(p * a - f * b) // d for a, b in zip(row, prow)]
-        d = p
+            f = row[col]
+            if f and i != r:
+                g = gcd(p, f)
+                a, b = p // g, f // g
+                rows[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
         pivots.append(col)
         # rows past the pivots that cancelled to zero constrain nothing
         rows[r + 1:] = [row for row in rows[r + 1:] if any(row)]
         if r + 1 == len(rows):
             break
+    scale = lcm(*(rows[ri][pc] for ri, pc in enumerate(pivots)))
     basis = []
     for free in (c for c in range(n) if c not in pivots):
         v = [0] * n
-        v[free] = d
+        v[free] = scale
         for ri, pc in enumerate(pivots):
-            v[pc] = -rows[ri][free]
+            v[pc] = -rows[ri][free] * (scale // rows[ri][pc])
         lead = next(x for x in v if x)
         basis.append(tuple(Fraction(x, lead) for x in v))
     return basis
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries; a zero row stays zero."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 @dataclass

@@ -5,11 +5,13 @@ Coefficients are serialized as "p/q" strings so records round-trip without
 any float ever appearing. Key layout is fixed so that identical inputs give
 byte-identical files (the cache relies on this).
 
-`ResultRecord.to_json` writes that layout directly; its text equals
-`json.dumps(record, indent=2) + "\n"`, whose indenting encoder runs in pure
-Python. `ResultRecord.from_json` is the one reader of the format: it returns
-only what `from_space` could have written. A record is read-only: equal
-coefficient vectors share one list of strings.
+`ResultRecord.to_json(space)` writes that layout straight from the space's
+orbits; its text equals `json.dumps(ResultRecord.from_space(space),
+indent=2) + "\n"`, whose indenting encoder runs in pure Python, and both
+take the fields other than the basis from `_fields`.
+`ResultRecord.from_json` is the one reader of the format: it returns only
+what `from_space` could have built. A record is read-only: equal coefficient
+vectors share one list of strings.
 """
 
 from __future__ import annotations
@@ -83,7 +85,7 @@ def faces_json(fc: FaceComplex) -> str:
     return _layout(fields, "", "{}")
 
 
-# a record's keys and its flags, in the order from_space writes them
+# a record's keys and its flags, in the order _fields lists them
 KEYS = ("D", "k", "forms", "rF", "cuspFaces", "orbitCount", "dim", "basis", "flags", "toolVersion")
 FLAGS = ("evenSquare", "augmented")
 # face keys, joined by commas, and a coefficient as frac_str spells them
@@ -91,20 +93,37 @@ _FACES = re.compile(r"(?:0|[1-9][0-9]*)(?:,(?:0|[1-9][0-9]*))*")
 _COEFF = re.compile(r"(-?[1-9][0-9]*|0)/([1-9][0-9]*)")
 
 
+def _fields(space: LocalPolySpace) -> dict:
+    """A record's fields in the order of KEYS, basis left None: the one list
+    of them that from_space and to_json both fill in."""
+    fc = space.complex
+    return {
+        "D": fc.disc,
+        "k": space.k,
+        "forms": [q.as_list() for q in fc.forms],
+        "rF": fc.face_count(),
+        "cuspFaces": fc.cusp_face_count(),
+        "orbitCount": len(space.orbits),
+        "dim": space.dim,
+        "basis": None,
+        "flags": {"evenSquare": fc.even_square, "augmented": space.augmented},
+        "toolVersion": __version__,
+    }
+
+
 class ResultRecord(dict):
-    """One answer as its JSON object, in the key order `from_space` fixes.
+    """One answer as its JSON object, in the key order of KEYS.
     Each basis element maps a face index, as a string, to the face's "p/q"
     coefficients, lowest degree first. A record is read-only: `from_space`
     lets equal coefficient vectors share one list."""
 
     @classmethod
     def from_space(cls, space: LocalPolySpace) -> "ResultRecord":
-        fc = space.complex
         # the vector tuples repeat as objects (shared transports, the standard
         # basis); space.by_orbit keeps each alive for this call, so no id is
         # reused
         spelt: dict[int, list[list[str]]] = {}
-        names = [str(face) for face in range(fc.face_count())]
+        names = [str(face) for face in range(space.complex.face_count())]
 
         def spell(vecs: tuple) -> list[list[str]]:
             out = spelt.get(id(vecs))
@@ -123,59 +142,64 @@ class ResultRecord(dict):
             else:
                 keys = [names[face] for face in faces]
                 basis += [dict(zip(keys, row)) for row in zip(*map(spell, rows))]
-        return cls(
-            D=fc.disc,
-            k=space.k,
-            forms=[q.as_list() for q in fc.forms],
-            rF=fc.face_count(),
-            cuspFaces=fc.cusp_face_count(),
-            orbitCount=len(space.orbits),
-            dim=space.dim,
-            basis=basis,
-            flags={"evenSquare": fc.even_square, "augmented": space.augmented},
-            toolVersion=__version__,
-        )
+        rec = cls(_fields(space))
+        rec["basis"] = basis
+        return rec
 
-    def to_json(self) -> str:
-        # coefficient strings and face keys are "-", digits and "/": no escaping.
-        # Blocks and tails are keyed by the list: from_space shares equal
-        # lists, and self keeps each alive for this call, so no id is reused
+    @classmethod
+    def to_json(cls, space: LocalPolySpace) -> str:
+        """The text of `space`'s record, written orbit by orbit from its
+        by_orbit view: each distinct vector is spelt and laid out once, each
+        distinct tuple of an orbit's rows is one template of its elements
+        with the face keys left as slots, and an orbit is its template
+        filled with its faces. No object is built per basis element."""
+        # the vector and row tuples repeat as objects (shared transports, the
+        # standard basis); space.by_orbit keeps each alive for this call, so
+        # no id is reused
         blocks: dict[int, str] = {}
-        tails: dict[int, str] = {}
+        templates: dict[tuple[int, ...], str] = {}
+        pieces: dict[int, list[str]] = {}
 
-        def coeffs(strs: list[str]) -> str:
-            out = blocks.get(id(strs))
+        def block(vec: tuple) -> str:
+            out = blocks.get(id(vec))
             if out is None:
-                out = blocks[id(strs)] = _layout([f'"{c}"' for c in strs], " " * 6)
+                # coefficients are "-", digits and "/": no escaping, no "%"
+                out = blocks[id(vec)] = _layout([f'"{frac_str(c)}"' for c in vec], " " * 6)
             return out
 
-        def element(elem: dict[str, list[str]]) -> str:
-            if len(elem) != 1:
-                return _layout([f'"{face}": {coeffs(strs)}' for face, strs in elem.items()],
-                               " " * 4, "{}")
-            # a one-face element is its face and a tail shared by its list
-            [(face, strs)] = elem.items()
-            tail = tails.get(id(strs))
-            if tail is None:
-                tail = tails[id(strs)] = f'": {coeffs(strs)}\n    }}'
-            return '{\n      "' + face + tail
+        def template(rows: tuple) -> str:
+            key = tuple(map(id, rows))
+            out = templates.get(key)
+            if out is None:
+                # one element per root vector, a "%d" per face; the elements
+                # are joined as _layout joins the items of the basis
+                out = templates[key] = ",\n    ".join(
+                    _layout([f'"%d": {block(vec)}' for vec in row], " " * 4, "{}")
+                    for row in zip(*rows)
+                )
+            return out
 
-        forms = [_layout([str(v) for v in form], " " * 4) for form in self["forms"]]
-        basis = [element(elem) for elem in self["basis"]]
-        flags = [f'"{key}": {json.dumps(v)}' for key, v in self["flags"].items()]
-        fields = [
-            f'"D": {self["D"]}',
-            f'"k": {self["k"]}',
-            f'"forms": {_layout(forms, "  ")}',
-            f'"rF": {self["rF"]}',
-            f'"cuspFaces": {self["cuspFaces"]}',
-            f'"orbitCount": {self["orbitCount"]}',
-            f'"dim": {self["dim"]}',
-            f'"basis": {_layout(basis, "  ")}',
-            f'"flags": {_layout(flags, "  ", "{}")}',
-            f'"toolVersion": {json.dumps(self["toolVersion"])}',
+        def one_face(rows: tuple) -> list[str]:
+            # a one-face orbit is its face joining the template's pieces
+            out = pieces.get(id(rows[0]))
+            if out is None:
+                out = pieces[id(rows[0])] = template(rows).split("%d")
+            return out
+
+        # by_orbit lists each orbit's faces in increasing order
+        basis = [
+            str(faces[0]).join(one_face(rows)) if len(faces) == 1
+            else template(rows) % (faces * len(rows[0]))
+            for faces, rows in space.by_orbit
         ]
-        return _layout(fields, "", "{}") + "\n"
+        fields = _fields(space)
+        forms = [_layout(list(map(str, form)), " " * 4) for form in fields["forms"]]
+        flags = [f'"{key}": {json.dumps(v)}' for key, v in fields["flags"].items()]
+        # the lists and objects laid out over lines; every other field is a scalar
+        laid = {"forms": _layout(forms, "  "), "basis": _layout(basis, "  "),
+                "flags": _layout(flags, "  ", "{}")}
+        items = [f'"{key}": {laid.get(key) or json.dumps(v)}' for key, v in fields.items()]
+        return _layout(items, "", "{}") + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ResultRecord":

@@ -158,6 +158,22 @@ def test_basis_hit_prints_miss_bytes(capsys, tmp_path, monkeypatch, disc, k, aug
     assert miss == _reference_listing(ResultRecord.from_json(path.read_text(encoding="utf-8")))
 
 
+# sha256 of the stdout of `mlp basis --disc D --weight k`, with no cache, for
+# D ascending over the valid D <= 120 and k = -8, -4, -2, 0 for each D,
+# concatenated with no separator
+BASIS_120_SHA256 = "fe636084d993c364be959226bd227b0d90813e72c69982ffdc86036e160a3a0b"
+
+
+def test_basis_listing_pinned(capsys):
+    digest = hashlib.sha256()
+    for disc in [d for d in range(1, 121) if d % 4 in (0, 1)]:
+        for k in (-8, -4, -2, 0):
+            code, out, _ = run(capsys, "basis", "--disc", str(disc), "--weight", str(k))
+            assert code == 0
+            digest.update(out.encode("utf-8"))
+    assert digest.hexdigest() == BASIS_120_SHA256
+
+
 def test_basis_renders_each_distinct_list_once(capsys, tmp_path, monkeypatch):
     # a hit's lists are read apart, yet each distinct one is rendered once
     monkeypatch.setenv("MLP_CACHE_DIR", str(tmp_path))
@@ -350,7 +366,7 @@ def _corrupt(text: str, case: str) -> str:
         # well-formed, but the answer to another query
         disc, k = (8, -2) if "D=8" in case else (5, -4) if "k=-4" in case else (5, -2)
         space = polyspace.compute_space(disc, k, augmented="augmented" in case)
-        return ResultRecord.from_space(space).to_json()
+        return ResultRecord.to_json(space)
     if case == "dim":
         obj["dim"] = 2222
     elif case == "dim != len(basis)":

@@ -419,3 +419,22 @@ def test_exact_complex_from_point():
     z = ExactComplex.from_point(RHO)
     assert z == ExactComplex(HALF, 1, Fraction(3, 4))
     assert abs(_to_complex(z) - complex(0.5, 0.8660254037844386)) < 1e-12
+
+
+def test_value_types_keep_repr_hash_and_checks():
+    # Mat2 and QuadForm print and hash as they did as frozen dataclasses
+    assert [(repr(m), hash(m)) for m in (IDENTITY, S, Mat2(2, 3, 1, 2))] == [
+        ("[[1,0],[0,1]]", 8845706618679074035),
+        ("[[0,-1],[1,0]]", -4936627272825922070),
+        ("[[2,3],[1,2]]", -417948466306862758),
+    ]
+    forms = (QuadForm(1, 1, -1), QuadForm(-2, 3, 1), QuadForm(0, 3, -1))
+    assert [(repr(q), hash(q)) for q in forms] == [
+        ("QuadForm(a=1, b=1, c=-1)", -2372014913340491271),
+        ("QuadForm(a=2, b=-3, c=-1)", -846466477055918254),
+        ("QuadForm(a=0, b=3, c=-1)", 5100121539009099872),
+    ]
+    with pytest.raises(ValueError, match="determinant"):
+        Mat2(1, 1, 1, 1)
+    with pytest.raises(ValueError, match="positive discriminant"):
+        QuadForm(1, 0, 1)

@@ -251,6 +251,15 @@ def test_fixed_space_matches_fraction_reference():
             for orb in orbits:
                 cons = [slash_matrix(g, -k) for g in orb.cycles if g != IDENTITY]
                 assert fixed_space(cons, -k) == _fraction_fixed_space(cons, -k), (disc, k)
+    # every even w <= 24, on the cycle words T, S and the two of order 3, and
+    # on random words alone and in pairs
+    cycle_words = [T, S, Mat2(-1, -1, 1, 0), Mat2(0, 1, -1, -1)]
+    for w in range(0, 25, 2):
+        sets = [[g] for g in cycle_words + [random_word(rng) for _ in range(6)]]
+        sets += [[random_word(rng), random_word(rng)] for _ in range(3)]
+        for words in sets:
+            cons = [slash_matrix(g, w) for g in words]
+            assert fixed_space(cons, w) == _fraction_fixed_space(cons, w), (words, w)
 
 
 def test_compute_space_d5_pinned_basis():

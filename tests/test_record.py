@@ -67,8 +67,10 @@ def test_record_fields_for_golden_case():
 
 
 def test_record_json_shape():
-    rec = ResultRecord.from_space(compute_space(5, -2))
-    obj = json.loads(rec.to_json())
+    space = compute_space(5, -2)
+    rec = ResultRecord.from_space(space)
+    text = ResultRecord.to_json(space)
+    obj = json.loads(text)
     assert list(obj) == [
         "D",
         "k",
@@ -85,7 +87,7 @@ def test_record_json_shape():
     assert obj["forms"] == [[1, 1, -1], [1, -1, -1]]
     assert obj["flags"] == {"evenSquare": False, "augmented": False}
     assert obj["basis"][1] == {"1": ["1/1", "1/1", "1/1"], "2": ["1/1", "-1/1", "1/1"]}
-    assert rec.to_json().endswith("\n")
+    assert text.endswith("\n")
     # the cache reader requires exactly these keys and flags, in this order
     assert tuple(rec) == tuple(obj) == mlp.record.KEYS
     assert tuple(rec["flags"]) == tuple(obj["flags"]) == mlp.record.FLAGS
@@ -103,8 +105,7 @@ def test_record_serialization_has_no_floats():
             assert not isinstance(node, float)
 
     for disc, k in ((5, -2), (4, -2), (9, 0), (16, -4)):
-        rec = ResultRecord.from_space(compute_space(disc, k))
-        obj = json.loads(rec.to_json())
+        obj = json.loads(ResultRecord.to_json(compute_space(disc, k)))
         walk(obj)
         for elem in obj["basis"]:
             for coeffs in elem.values():
@@ -114,17 +115,18 @@ def test_record_serialization_has_no_floats():
 
 def test_record_round_trip():
     for disc, k, aug in ((5, -2, False), (8, 0, False), (4, -2, False), (5, -2, True)):
-        rec = ResultRecord.from_space(compute_space(disc, k, augmented=aug))
-        again = ResultRecord.from_json(rec.to_json())
-        assert again == rec
-        assert again.to_json() == rec.to_json()
+        space = compute_space(disc, k, augmented=aug)
+        text = ResultRecord.to_json(space)
+        again = ResultRecord.from_json(text)
+        assert again == ResultRecord.from_space(space)
+        assert json.dumps(again, indent=2) + "\n" == text
 
 
 def test_from_json_refuses_what_from_space_cannot_write():
     # a library caller gets ValueError, never KeyError, TypeError or
     # RecursionError, for any text from_space could not have written
-    text = ResultRecord.from_space(compute_space(5, -2)).to_json()
-    assert ResultRecord.from_json(text).to_json() == text
+    text = ResultRecord.to_json(compute_space(5, -2))
+    assert json.dumps(ResultRecord.from_json(text), indent=2) + "\n" == text
 
     def edited(key, value):
         obj = json.loads(text)
@@ -159,7 +161,7 @@ def test_even_square_flag_tracks_equality():
             assert rec["flags"]["evenSquare"] == (rec["dim"] == (-k + 1) * rec["rF"])
 
 
-# sha256 of ResultRecord.from_space(compute_space(D, k, augmented)).to_json(),
+# sha256 of ResultRecord.to_json(compute_space(D, k, augmented)),
 # taken before the slash transport moved onto integer arithmetic
 GOLDEN_RECORD_SHA256 = {
     (5, -12, False): "1cfa4bdf50ec9de03cfff714b30ab75bb022313773ea074670904f97e6d18c93",
@@ -171,7 +173,7 @@ GOLDEN_RECORD_SHA256 = {
 
 @pytest.mark.parametrize("disc,k,augmented", sorted(GOLDEN_RECORD_SHA256))
 def test_record_bytes_golden(disc, k, augmented):
-    text = ResultRecord.from_space(compute_space(disc, k, augmented=augmented)).to_json()
+    text = ResultRecord.to_json(compute_space(disc, k, augmented=augmented))
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == GOLDEN_RECORD_SHA256[(disc, k, augmented)]
 
@@ -185,34 +187,36 @@ def test_render_poly_matches_fraction_reference(disc, k, augmented):
             assert render_poly(strings[str(face)]) == _render_fractions(coeffs)
 
 
-def _records():
+def _spaces():
     """Every valid D <= 150 at k in {0, -2, -4, -8, -12}, and augmented at
     k in {0, -2}."""
     for disc in [d for d in range(1, 151) if d % 4 in (0, 1)]:
         fc = build_arrangement(disc)
         orbits = orbits_and_cycles(build_gluing_graph(fc))
         for k, aug in [(k, False) for k in (0, -2, -4, -8, -12)] + [(0, True), (-2, True)]:
-            yield ResultRecord.from_space(solve_space(fc, orbits, k, augmented=aug))
+            yield solve_space(fc, orbits, k, augmented=aug)
+
+
+# sha256 of the texts of every space _spaces() yields, concatenated in order,
+# taken while to_json still wrote the record from_space built
+SPACES_150_SHA256 = "8ff0b8ca5fc7852488b8e6ee2bbc14444fe66d44e90a66efd9520f423cf2512b"
 
 
 def test_to_json_equals_json_dumps():
-    # json.dumps(indent=2) is the layout the direct writer must reproduce
-    def check(rec):
-        text = rec.to_json()
-        assert text == json.dumps(rec, indent=2) + "\n", (rec["D"], rec["k"])
-        return text
-
+    # the writer works from the orbits and from_space builds the object on its
+    # own: the text is json.dumps(indent=2) of what it reads back to, and that
+    # is the object from_space builds
+    digest = hashlib.sha256()
     count = 0
-    for rec in _records():
-        again = ResultRecord.from_json(check(rec))
-        assert check(again) == rec.to_json()
+    for space in _spaces():
+        text = ResultRecord.to_json(space)
+        rec = ResultRecord.from_json(text)
+        assert text == json.dumps(rec, indent=2) + "\n", (rec["D"], rec["k"])
+        assert rec == ResultRecord.from_space(space), (rec["D"], rec["k"])
+        digest.update(text.encode("utf-8"))
         count += 1
     assert count == 7 * 75
-    empty = {"D": 5, "k": 0, "forms": [], "rF": 0, "cuspFaces": 0, "orbitCount": 0, "dim": 0}
-    flags = {"evenSquare": True, "augmented": False}
-    for basis in ([], [{}], [{"0": []}, {"3": ["-1/2"], "12": ["0/1", "7/3"]}]):
-        check(ResultRecord(empty, basis=basis, flags=flags, toolVersion=__version__))
-        check(ResultRecord(empty, basis=basis, flags={}, toolVersion="é\"1"))
+    assert digest.hexdigest() == SPACES_150_SHA256
 
 
 def test_record_lists_faces_in_increasing_order():
@@ -225,8 +229,9 @@ def test_record_lists_faces_in_increasing_order():
     for k in (0, -8):
         space = solve_space(fc, backwards, k)
         assert all(list(elem) == sorted(elem) for elem in space.basis)
-        text = ResultRecord.from_space(solve_space(fc, orbits, k)).to_json()
-        assert ResultRecord.from_space(space).to_json() == text
+        text = ResultRecord.to_json(solve_space(fc, orbits, k))
+        assert ResultRecord.to_json(space) == text
+        assert ResultRecord.from_space(space) == ResultRecord.from_json(text)
 
 
 def test_from_space_spells_each_vector_once(monkeypatch):
@@ -242,4 +247,20 @@ def test_from_space_spells_each_vector_once(monkeypatch):
 
     monkeypatch.setattr(mlp.record, "frac_str", counting)
     ResultRecord.from_space(space)
+    assert calls <= (space.w + 1) * len(vectors)
+
+
+def test_to_json_spells_each_vector_once(monkeypatch):
+    space = compute_space(144, -12)
+    vectors = {id(vec) for elem in space.basis for vec in elem.values()}
+    calls = 0
+    real = mlp.record.frac_str
+
+    def counting(f):
+        nonlocal calls
+        calls += 1
+        return real(f)
+
+    monkeypatch.setattr(mlp.record, "frac_str", counting)
+    ResultRecord.to_json(space)
     assert calls <= (space.w + 1) * len(vectors)
