@@ -186,20 +186,25 @@ class ResultRecord(dict):
                 out = pieces[id(rows[0])] = template(rows).split("%d")
             return out
 
-        # by_orbit lists each orbit's faces in increasing order
-        basis = [
+        # by_orbit lists each orbit's faces in increasing order; the elements
+        # are joined as _layout joins the items of the basis
+        body = ",\n    ".join(
             str(faces[0]).join(one_face(rows)) if len(faces) == 1
             else template(rows) % (faces * len(rows[0]))
             for faces, rows in space.by_orbit
-        ]
+        )
         fields = _fields(space)
         forms = [_layout(list(map(str, form)), " " * 4) for form in fields["forms"]]
         flags = [f'"{key}": {json.dumps(v)}' for key, v in fields["flags"].items()]
-        # the lists and objects laid out over lines; every other field is a scalar
-        laid = {"forms": _layout(forms, "  "), "basis": _layout(basis, "  "),
+        # the lists and objects laid out over lines, the basis with a NUL for
+        # its body (no field holds one; a space has at least one element);
+        # every other field is a scalar
+        laid = {"forms": _layout(forms, "  "), "basis": "[\n    \0\n  ]",
                 "flags": _layout(flags, "  ", "{}")}
         items = [f'"{key}": {laid.get(key) or json.dumps(v)}' for key, v in fields.items()]
-        return _layout(items, "", "{}") + "\n"
+        # the body, tens of MB at a large D, is copied once, into the text
+        head, _, tail = (_layout(items, "", "{}") + "\n").partition("\0")
+        return "".join((head, body, tail))
 
     @classmethod
     def from_json(cls, text: str) -> "ResultRecord":
