@@ -25,7 +25,7 @@ from .geometry import (
     form_action,
     reduce_point,
 )
-from .gluing import GluingEdge, GluingGraph, Orbit, build_gluing_graph, orbits_and_cycles
+from .gluing import GluingEdge, GluingGraph, Orbit, Orbits, build_gluing_graph, orbits_and_cycles
 from .polyspace import (
     InvalidWeight,
     LocalPolySpace,
@@ -55,6 +55,7 @@ __all__ = [
     "LocalPolySpace",
     "Mat2",
     "Orbit",
+    "Orbits",
     "OutOfRegion",
     "QuadForm",
     "ResultRecord",

@@ -48,15 +48,18 @@ integers -(a p^2 + b p q + c q^2) * (L / a) for arcs, (q^2 - p^2) * L for the
 unit circle and ycap^2 * q^2 * L for the cap. One L serves every column, so
 values of different columns at the same x compare directly.
 
-Abscissae are keyed by integers. Every critical abscissa is p/q with
-integers q > 0: the walls and 0, arc ends -(a+c)/b, apexes -b/2a, crossings
-num/det and vertical lines -c/b. With qmax the largest q, two distinct ones
-differ by at least 1/qmax^2, so for 2^K > qmax^2 the key floor(p * 2^K / q)
-separates them and keeps their order, and equal values share one key
-whatever their p and q. The sweep sorts, deduplicates and indexes the
-abscissae up to 0 by that key alone and builds one Fraction per distinct
-abscissa. Only the views read xs right of 0, their negation, so it is built
-when one first reads xs.
+Abscissae are integer pairs and keyed by integers. Every critical abscissa
+is p/q with integers q > 0, not necessarily in lowest terms: the walls and 0,
+arc ends -(a+c)/b, apexes -b/2a, crossings num/det and vertical lines -c/b.
+With qmax the largest q, two distinct ones differ by at least 1/qmax^2, so
+for 2^K > qmax^2 the key floor(p * 2^K / q) separates them and keeps their
+order, and equal values share one key whatever their p and q. The sweep
+sorts, deduplicates and indexes the abscissae up to 0 by that key alone and
+reads them as pairs; heights are compared only within one abscissa, so an
+unreduced p/q is as good as its lowest terms. The arcs and xs as Fractions
+are views built on first read. The boundary builds one Fraction per distinct
+wall height and per floor break, and negates each floor break once for the
+floor right of 0.
 """
 
 from __future__ import annotations
@@ -70,10 +73,11 @@ from typing import NamedTuple, Optional, Sequence
 from .geometry import (
     HALF,
     AlgebraicPoint,
+    Pair,
     QuadForm,
+    arc_ends,
     enumerate_forms,
     is_even_square,
-    semicircle_interval,
 )
 
 # column entries that are not arcs, as indices into FaceComplex._coeffs
@@ -125,27 +129,31 @@ class FaceComplex:
         self.ycap = isqrt(disc) // 2 + 1
 
         # the floor [a, 0, -a] and the walls x = +-1/2 are geodesics exactly
-        # when D is an even square; they bound the domain and cut nothing
-        arcs: list[Arc] = []
+        # when D is an even square; they bound the domain and cut nothing.
+        # An arc is (a, b, c, lo.p, lo.q, hi.p, hi.q), its ends as integers
+        arcs: list[tuple[int, ...]] = []
         vlines: list[Fraction] = []
         for q in self.forms:
-            if q.a:
-                if q.b == 0 and q.c == -q.a:
+            a, b, c = q
+            if a:
+                if b == 0 and c == -a:
                     continue
-                span = semicircle_interval(q)
-                if span is None:
+                ends = arc_ends(q)
+                if ends is None:
                     raise RuntimeError(f"form {q.as_list()} has no arc in the strip")
-                arcs.append(Arc(q.a, q.b, q.c, span[0], span[1]))
-            else:
-                x = Fraction(-q.c, q.b)
-                if abs(x) != HALF:
-                    vlines.append(x)
-        self.arcs = tuple(arcs)
+                arcs.append((a, b, c, *ends[0], *ends[1]))
+            elif 2 * abs(c) != b:
+                vlines.append(Fraction(-c, b))
+        self._arcs = arcs
         # the vertical geodesics inside the strip, foot to cap, by abscissa
         self.vlines = tuple(vlines)
 
-        self._lcm_a = lcm(*(arc.a for arc in arcs))
-        self._coeffs = [(arc.a, arc.b, arc.c, self._lcm_a // arc.a) for arc in arcs]
+        # tuples on the sweep path are built from lists: one built from a
+        # generator is allocated at a guessed size and shrunk, which moves it
+        # between the interpreter's per-size free lists until a full
+        # collection empties them, and a process's peak memory grows
+        self._lcm_a = lcm(*[arc[0] for arc in arcs])
+        self._coeffs = [(a, b, c, self._lcm_a // a) for a, b, c, *_ in arcs]
         # FLOOR and CAP, the unit circle and y^2 = ycap^2, in the same terms
         self._coeffs += [(1, 0, -1, self._lcm_a), (0, 0, -self.ycap ** 2, self._lcm_a)]
         self._sweep(self._events())
@@ -161,11 +169,7 @@ class FaceComplex:
         geodesics of D onto themselves, so xs right of 0 is xs left of it
         negated."""
         # the arcs that reach x < 0: the only ones that start, end or cross there
-        ends = [
-            (k, arc.a, arc.b, arc.c, arc.lo.numerator, arc.lo.denominator,
-             arc.hi.numerator, arc.hi.denominator)
-            for k, arc in enumerate(self.arcs) if arc.lo < 0
-        ]
+        ends = [(k, *arc) for k, arc in enumerate(self._arcs) if arc[3] < 0]
         # two arcs cross at x = num/det; with det > 0, lo < x < hi is
         # lo.n * det < num * lo.d and num * hi.d < hi.n * det
         crossings = []
@@ -199,7 +203,7 @@ class FaceComplex:
             keyed.setdefault((num << shift) // det, (num, det))
 
         keys = sorted(keyed)
-        self._left_xs = [Fraction(*keyed[key]) for key in keys]
+        self._left_pq = [keyed[key] for key in keys]
         pos = {key: i for i, key in enumerate(keys)}
         self._origin = pos[0]
         starts: dict[int, list[int]] = {}
@@ -220,15 +224,15 @@ class FaceComplex:
         coeffs = self._coeffs
         return [-(a * pp + b * pq + c * qq) * s for a, b, c, s in (coeffs[k] for k in entries)]
 
-    def _by_height(self, idxs: Sequence[int], x0: Fraction, x1: Fraction) -> list[int]:
+    def _by_height(self, idxs: Sequence[int], x0: Pair, x1: Pair) -> list[int]:
         """Arcs idxs bottom to top between consecutive abscissae x0 and x1,
         where none meet: by height at their midpoint, an unreduced p/q."""
-        p0, q0, p1, q1 = x0.numerator, x0.denominator, x1.numerator, x1.denominator
+        (p0, q0), (p1, q1) = x0, x1
         return [k for _, k in sorted(zip(self._heights(idxs, p0 * q1 + p1 * q0, 2 * q0 * q1), idxs))]
 
     def _sweep(self, events) -> None:
         starts, stops, through, vertical = events
-        xs = self._left_xs
+        xs = self._left_pq
         origin = self._origin
         heights = self._heights
         # a run is (first slab, level there + base, entry below, entry above);
@@ -257,19 +261,23 @@ class FaceComplex:
         # col is the column bottom to top, FLOOR to CAP; arc k is col[where[k] - base],
         # so dropping or inserting at the bottom moves base, not every arc
         col = [FLOOR, *self._by_height(starts.get(0, ()), xs[0], xs[1]), CAP]
-        where = [0] * len(self.arcs)
+        where = [0] * len(self._arcs)
         base = 0
         for i in range(1, len(col) - 1):
             where[col[i]] = i
         cells = open_runs(0, len(col) - 2, 0)  # cells[lvl]: run of the cell above col[lvl]
         # the left wall, read from the first column at x = -1/2: one segment
-        # per cell of positive length, the top one up to the cap
+        # per cell of positive length, the top one up to the cap. Consecutive
+        # segments share an end, so each distinct height is one Fraction
         vals = heights(col, -1, 2)
         scale = 4 * self._lcm_a
-        wall = [WallSegment(Fraction(vals[k], scale),
-                            None if k == len(vals) - 2 else Fraction(vals[k + 1], scale),
-                            face[cells[k]])
-                for k in range(len(vals) - 1) if vals[k] < vals[k + 1]]
+        wall = []
+        s_lo = Fraction(vals[0], scale)
+        for k in range(len(vals) - 1):
+            if vals[k] < vals[k + 1]:
+                s_hi = None if k == len(vals) - 2 else Fraction(vals[k + 1], scale)
+                wall.append(WallSegment(s_lo, s_hi, face[cells[k]]))
+                s_lo = s_hi
         # the floor, as (position in xs, face) wherever its cell starts. An arc
         # ends on a wall or on the unit circle, so arcs leave and join the
         # floor only at arc ends. A vertical line x = x0 cuts it too, but at
@@ -283,7 +291,7 @@ class FaceComplex:
             e, new, crossing = stops.get(b, 0), starts.get(b, ()), through.get(b, ())
             if e or new or crossing or b in vertical:
                 xb = xs[b]
-                p, q = xb.numerator, xb.denominator
+                p, q = xb
                 # adjacent arcs through one point, as index spans after the drop
                 flips = []
                 if crossing:
@@ -377,13 +385,16 @@ class FaceComplex:
             self.left_segments = self.right_segments = self.bottom_segments = ()
             return
         # the right wall and the floor right of 0 are the mirrors of the left
-        # wall and the floor left of it, with each face mapped to its twin
+        # wall and the floor left of it, with each face mapped to its twin.
+        # Each floor break is one Fraction, negated once for the mirror
         self.left_segments = tuple(wall)
-        self.right_segments = tuple(WallSegment(w.s_lo, w.s_hi, twin[w.face]) for w in wall)
-        ends = [b for b, _ in floor[1:]] + [origin]
-        half = [BottomSegment(xs[i], xs[j], f) for (i, f), j in zip(floor, ends)]
-        self.bottom_segments = tuple(half + [
-            BottomSegment(-h.x_hi, -h.x_lo, twin[h.face]) for h in reversed(half)])
+        self.right_segments = tuple([WallSegment(w.s_lo, w.s_hi, twin[w.face]) for w in wall])
+        at = [Fraction(*xs[b]) for b, _ in floor] + [Fraction(0)]
+        neg = [-x for x in at]
+        faces = [f for _, f in floor]
+        self.bottom_segments = tuple(
+            [BottomSegment(at[i], at[i + 1], f) for i, f in enumerate(faces)]
+            + [BottomSegment(neg[i + 1], neg[i], twin[faces[i]]) for i in reversed(range(len(faces)))])
 
     # -- queries --------------------------------------------------------
 
@@ -407,6 +418,17 @@ class FaceComplex:
         return tuple(samples)
 
     @cached_property
+    def arcs(self) -> tuple[Arc, ...]:
+        """The arcs, with their ends as Fractions."""
+        return tuple(Arc(a, b, c, Fraction(lp, lq), Fraction(hp, hq))
+                     for a, b, c, lp, lq, hp, hq in self._arcs)
+
+    @cached_property
+    def _left_xs(self) -> list[Fraction]:
+        """The sorted critical abscissae up to x = 0, the ones the sweep read."""
+        return [Fraction(p, q) for p, q in self._left_pq]
+
+    @cached_property
     def xs(self) -> list[Fraction]:
         """The sorted critical abscissae: the left half the sweep reads and
         its negation right of 0."""
@@ -427,8 +449,8 @@ class FaceComplex:
                 if above != CAP:
                     arcs_rows[si][lvl] = above
         # arc k of [a, b, c] mirrors to the arc of [a, -b, c], at the same level
-        index = {(arc.a, arc.b, arc.c): k for k, arc in enumerate(self.arcs)}
-        mirror = [index[arc.a, -arc.b, arc.c] for arc in self.arcs]
+        index = {arc[:3]: k for k, arc in enumerate(self._arcs)}
+        mirror = [index[a, -b, c] for a, b, c, *_ in self._arcs]
         twin = self._twin
         arcs_rows = [tuple(row) for row in arcs_rows]
         arcs_rows += [tuple([mirror[k] for k in row]) for row in reversed(arcs_rows)]

@@ -199,68 +199,80 @@ def form_action(q: QuadForm, g: Mat2) -> QuadForm:
     return QuadForm(na, nb, nc)
 
 
-def semicircle_interval(q: QuadForm) -> Optional[tuple[Fraction, Fraction]]:
-    """x-interval where the geodesic of q (a != 0) meets the closed domain
-    |x| <= 1/2, |tau| >= 1 in more than one point; None otherwise.
+# an abscissa p/q as the pair (p, q), q > 0, not necessarily reduced
+Pair = tuple[int, int]
+Ends = tuple[Pair, Pair]
+_WALLS: Ends = ((-1, 2), (1, 2))
+
+
+def arc_ends(q: QuadForm) -> Optional[Ends]:
+    """The x-interval where the geodesic of q (a != 0) meets the closed domain
+    |x| <= 1/2, |tau| >= 1 in more than one point, as its two ends (p, r)
+    with r > 0; None otherwise.
 
     Inside |x| <= 1/2 the bound |tau|^2 >= 1 forces y^2 >= 3/4 on the circle,
     so the only active constraints are the two walls and the unit circle, and
-    all interval endpoints are rational. A single-point (corner) tangency
-    yields an empty interval here by design.
+    both ends are rational. A single-point (corner) tangency yields an empty
+    interval here by design.
     """
-    if q.a == 0:
-        raise ValueError("semicircle_interval needs a form with a != 0")
+    a, b, c = q
+    if a == 0:
+        raise ValueError("arc_ends needs a form with a != 0")
     # |tau|^2 >= 1 along the circle reads a + c + b x <= 0 (using a > 0): the
     # whole strip or nothing when b = 0, else the side of x = -(a+c)/b, which
     # holds more than a point of |x| <= 1/2 iff 2(a+c) < |b|; that end lies
-    # strictly inside iff -|b| < 2(a+c). Only an arc builds a Fraction.
-    b, s = q.b, 2 * (q.a + q.c)
+    # strictly inside iff -|b| < 2(a+c)
+    s = 2 * (a + c)
     if b == 0:
-        return (-HALF, HALF) if s <= 0 else None
+        return _WALLS if s <= 0 else None
     if s >= abs(b):
         return None
     if s <= -abs(b):
-        return -HALF, HALF
-    end = Fraction(-(q.a + q.c), b)
-    return (-HALF, end) if b > 0 else (end, HALF)
+        return _WALLS
+    return ((-1, 2), (-(a + c), b)) if b > 0 else ((a + c, -b), (1, 2))
+
+
+def semicircle_interval(q: QuadForm) -> Optional[tuple[Fraction, Fraction]]:
+    """arc_ends(q) as Fractions."""
+    ends = arc_ends(q)
+    return None if ends is None else (Fraction(*ends[0]), Fraction(*ends[1]))
 
 
 def enumerate_forms(disc: int) -> list[QuadForm]:
     """All normalized forms of discriminant disc whose geodesic meets the
-    closed fundamental domain in more than one point, sorted canonically.
+    closed fundamental domain in more than one point, sorted canonically:
+    semicircles by (a, |b|, b < 0), then vertical lines by abscissa -c/b.
 
-    Semicircle bounds: 0 < a <= sqrt(disc/3) (the circle's top D/4a^2 must
-    reach y^2 = 3/4) and |b| <= a + ceil(sqrt(disc)) (center within reach of
-    the strip). Vertical lines occur only for square disc: b = sqrt(disc),
-    -1/2 <= -c/b <= 1/2.
+    A semicircle [a, b, c] has its arc iff 2(a+c) < |b|, or b = 0 and
+    a + c <= 0 (arc_ends); with 4ac = b^2 - disc that reads
+    (|b| - a)^2 < disc - 3a^2, and a^2 <= disc - 3a^2 for b = 0. So a runs
+    up to sqrt(disc/3) and |b| over the window a -+ sqrt(disc - 3a^2), with
+    b = disc mod 2 so that 4a can divide b^2 - disc. Emitting a, then |b|,
+    then +b before -b gives the canonical order with no sort. Vertical lines
+    occur only for square disc: b = sqrt(disc), -1/2 <= -c/b <= 1/2.
     """
     check_discriminant(disc)
     out: list[QuadForm] = []
-    root = isqrt(disc)
-    a_max = isqrt(disc // 3)
-    b_pad = root if root * root == disc else root + 1
-    for a in range(1, a_max + 1):
-        for b in range(-(a + b_pad), a + b_pad + 1):
-            num = b * b - disc
-            if num % (4 * a):
+    for a in range(1, isqrt(disc // 3) + 1):
+        room = disc - 3 * a * a
+        t = isqrt(room)
+        four_a = 4 * a
+        lo = max(a - t, 0)
+        for m in range(lo + (lo + disc) % 2, a + t + 1, 2):
+            num = m * m - disc
+            if num % four_a:
                 continue
-            q = QuadForm(a, b, num // (4 * a))
-            if semicircle_interval(q) is not None:
-                out.append(q)
+            if m == 0:
+                out.append(QuadForm(a, 0, num // four_a))
+            elif (m - a) ** 2 < room:
+                c = num // four_a
+                out.append(QuadForm(a, m, c))
+                out.append(QuadForm(a, -m, c))
+    root = isqrt(disc)
     if root * root == disc:
-        b = root
-        # -1/2 <= -c/b <= 1/2  <=>  -b/2 <= c <= b/2
-        c_lo = -(b // 2)
-        c_hi = b // 2
-        for c in range(c_lo, c_hi + 1):
-            out.append(QuadForm(0, b, c))
-
-    def key(q: QuadForm):
-        if q.a:
-            return (0, q.a, abs(q.b), 0 if q.b >= 0 else 1, q.c)
-        return (1, Fraction(-q.c, q.b), 0, 0, 0)
-
-    out.sort(key=key)
+        # -1/2 <= -c/b <= 1/2  <=>  -b/2 <= c <= b/2, listed by -c/b
+        for c in range(root // 2, -(root // 2) - 1, -1):
+            out.append(QuadForm(0, root, c))
     return out
 
 

@@ -12,16 +12,23 @@ twin; the first edge between them gives the twin's transport word, and each
 other edge of the orbit one cocycle constraint on the root's polynomial.
 
 A wall or floor on a geodesic has no segments. The walls must carry the same
-spans and each bottom segment its mirror, else GluingMismatch. The arrangement
+spans and each bottom segment the mirror of its span at the mirrored index,
+since the floor is symmetric about 0, else GluingMismatch. The arrangement
 builds the right wall and the floor right of x = 0 as mirrors of the left
 half, so this check guards the gluing's input, not the sweep: the pinned
 arrangement digests, the grid and Euler oracles and the all-pairs merge
 reference in the tests are what check the sweep. orbits_and_cycles likewise
 raises GluingMismatch on a graph the mirror law forbids.
+
+Most faces lie on no gluing edge. Each is an orbit by itself with no cycle,
+so orbits_and_cycles stores only the glued orbits and counts the free ones;
+solve_space reads the glued orbits alone.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -63,12 +70,13 @@ def build_gluing_graph(fc: FaceComplex) -> GluingGraph:
         raise GluingMismatch(f"wall segments differ for disc {fc.disc}")
     for ls, rs in zip(left, right):
         edges.append(GluingEdge(ls.face, rs.face, T))
-    by_span = {(seg.x_lo, seg.x_hi): seg for seg in fc.bottom_segments}
-    for seg in fc.bottom_segments:
+    # the floor is symmetric about 0, so segment i mirrors segment n - 1 - i
+    bottom = fc.bottom_segments
+    for i, seg in enumerate(bottom):
         if seg.x_hi > 0:
             continue
-        mirror = by_span.get((-seg.x_hi, -seg.x_lo))
-        if mirror is None:
+        mirror = bottom[-1 - i]
+        if mirror.x_lo != -seg.x_hi or mirror.x_hi != -seg.x_lo:
             raise GluingMismatch(f"bottom segment {seg} has no mirror, disc {fc.disc}")
         edges.append(GluingEdge(seg.face, mirror.face, S))
     return GluingGraph(fc.face_count(), tuple(edges))
@@ -88,7 +96,51 @@ class Orbit(NamedTuple):
     cycles: tuple[Mat2, ...]
 
 
-def orbits_and_cycles(graph: GluingGraph) -> tuple[Orbit, ...]:
+class Orbits(Sequence[Orbit]):
+    """The orbits in order of their roots, as orbits_and_cycles finds them.
+
+    Only the glued orbits, those whose faces lie on some gluing edge, are
+    stored. Every other face is a free orbit, the face alone with the
+    identity word and no cycle: len counts it, and iteration and indexing
+    build its Orbit when they reach it.
+    """
+
+    __slots__ = ("glued", "_n_faces", "_by_root", "_twins")
+
+    def __init__(self, n_faces: int, roots: dict[int, Orbit]):
+        self._n_faces = n_faces
+        self._by_root = roots
+        # the faces that are not roots, ascending
+        self._twins = twins = sorted(
+            f for orb in roots.values() for f in orb.words if f not in roots)
+        # the glued orbits with their orbit indices, in index order: a root's
+        # index counts the faces before it that are not twins
+        self.glued = tuple([(r - bisect_left(twins, r), roots[r]) for r in sorted(roots)])
+
+    def __len__(self) -> int:
+        return self._n_faces - len(self._twins)
+
+    def __iter__(self) -> Iterator[Orbit]:
+        roots, twins = self._by_root, set(self._twins)
+        for f in range(self._n_faces):
+            if f not in twins:
+                yield roots.get(f) or Orbit({f: IDENTITY}, ())
+
+    def __getitem__(self, i: int) -> Orbit:
+        n = len(self)
+        if i < 0:
+            i += n
+        if not 0 <= i < n:
+            raise IndexError(f"orbit index {i} out of range")
+        # the i-th face that is not a twin is i + j, j the twins up to it:
+        # the least fixed point of j -> twins up to i + j
+        twins, j = self._twins, 0
+        while (up := bisect_right(twins, i + j)) != j:
+            j = up
+        return self._by_root.get(i + j) or Orbit({i + j: IDENTITY}, ())
+
+
+def orbits_and_cycles(graph: GluingGraph) -> Orbits:
     """The orbits in order of their roots, built in one pass over the edges.
 
     By the mirror law every edge runs from a root to itself or to its twin,
@@ -114,9 +166,4 @@ def orbits_and_cycles(graph: GluingGraph) -> tuple[Orbit, ...]:
             root_of[e.dst] = e.src
         else:
             raise GluingMismatch(f"edge {e} brings a third face or another orbit's face")
-    # a face on no gluing edge is an orbit by itself
-    return tuple(
-        roots.get(f) or Orbit({f: IDENTITY}, ())
-        for f in range(graph.n_faces)
-        if root_of.get(f, f) == f
-    )
+    return Orbits(graph.n_faces, roots)

@@ -19,7 +19,7 @@ from typing import Sequence, Union
 
 from .arrangement import FaceComplex, build_arrangement
 from .geometry import IDENTITY, AlgebraicPoint, ExactComplex, Mat2, is_even_square, reduce_point
-from .gluing import Orbit, build_gluing_graph, orbits_and_cycles
+from .gluing import Orbit, Orbits, build_gluing_graph, orbits_and_cycles
 
 
 class InvalidWeight(ValueError):
@@ -83,7 +83,9 @@ def slash_matrix(g: Mat2, w: int) -> SlashMatrix:
         up.append(_poly_mul(up[-1], [g.b, g.a]))
         down.append(_poly_mul(down[-1], [g.d, g.c]))
     cols = [_poly_mul(up[j], down[w - j]) for j in range(w + 1)]
-    return SlashMatrix(tuple(zip(*cols)))
+    # tuples here are built from lists, as on the arrangement's sweep path
+    rows = list(zip(*cols))
+    return SlashMatrix(tuple(rows))
 
 
 def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fraction, ...]]:
@@ -125,7 +127,7 @@ def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fracti
         rows[r + 1:] = [row for row in rows[r + 1:] if any(row)]
         if r + 1 == len(rows):
             break
-    scale = lcm(*(rows[ri][pc] for ri, pc in enumerate(pivots)))
+    scale = lcm(*[rows[ri][pc] for ri, pc in enumerate(pivots)])
     basis = []
     for free in (c for c in range(n) if c not in pivots):
         v = [0] * n
@@ -133,7 +135,7 @@ def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fracti
         for ri, pc in enumerate(pivots):
             v[pc] = -rows[ri][free] * (scale // rows[ri][pc])
         lead = next(x for x in v if x)
-        basis.append(tuple(Fraction(x, lead) for x in v))
+        basis.append(tuple([Fraction(x, lead) for x in v]))
     return basis
 
 
@@ -162,7 +164,7 @@ class LocalPolySpace:
     k: int
     augmented: bool
     complex: FaceComplex
-    orbits: tuple[Orbit, ...]
+    orbits: Sequence[Orbit]
     dim: int
     # orbit index -> the vectors its root polynomial may take, for the orbits
     # with a non-identity cycle; every other root is free
@@ -252,7 +254,7 @@ class LocalPolySpace:
 
 def solve_space(
     fc: FaceComplex,
-    orbits: tuple[Orbit, ...],
+    orbits: Sequence[Orbit],
     k: int,
     augmented: bool = False,
     *,
@@ -261,11 +263,12 @@ def solve_space(
     """Weight-k space of the complex, given orbits_and_cycles of its gluing graph.
 
     Only orbits with a non-identity cycle solve for their root vectors, and
-    only orbits of more than one face get slash matrices for transport; the
-    basis is transported when it is first read, with the matrices the space
-    keeps in its memo. memo holds slash matrices keyed by (word, w) and fixed
-    spaces keyed by (cycle words, w), so calls that share it build each once.
-    Without one, the call shares nothing.
+    only orbits of more than one face get slash matrices for transport, so
+    only the glued orbits are read: an Orbits lists them, any other sequence
+    is walked for them. The basis is transported when it is first read, with
+    the matrices the space keeps in its memo. memo holds slash matrices keyed
+    by (word, w) and fixed spaces keyed by (cycle words, w), so calls that
+    share it build each once. Without one, the call shares nothing.
     """
     w = check_weight(k)
     if memo is None:
@@ -281,10 +284,14 @@ def solve_space(
             m = memo[(g, w)] = slash_matrix(g, w)
         return m
 
-    for i, orb in enumerate(orbits):
+    if isinstance(orbits, Orbits):
+        glued = orbits.glued
+    else:
+        glued = [(i, orb) for i, orb in enumerate(orbits) if orb.cycles or len(orb.words) > 1]
+    for i, orb in glued:
         vecs = None
         if orb.cycles:
-            words = tuple(g for g in orb.cycles if g != IDENTITY)
+            words = tuple([g for g in orb.cycles if g != IDENTITY])
             if words:
                 vecs = memo.get((words, w))
                 if vecs is None:

@@ -31,7 +31,17 @@ from fractions import Fraction
 from math import comb, isqrt
 from typing import Iterable
 
-from mlp import S, T, AlgebraicPoint, Mat2, build_arrangement, enumerate_forms, eval_form
+from mlp import (
+    IDENTITY,
+    S,
+    T,
+    AlgebraicPoint,
+    Mat2,
+    Orbit,
+    build_arrangement,
+    enumerate_forms,
+    eval_form,
+)
 from mlp.geometry import is_square, semicircle_interval
 
 HALF = Fraction(1, 2)
@@ -324,6 +334,27 @@ def _rank_mod(rows: list[dict[int, int]], p: int) -> int:
                 else:
                     del row[c]
     return len(pivots)
+
+
+def eager_orbits(graph) -> tuple[Orbit, ...]:
+    """orbits_and_cycles built as one tuple, with an Orbit and a word dict
+    for every face on no gluing edge too. The edges are taken to obey the
+    mirror law: each runs from a root to itself or to its one twin."""
+    roots: dict[int, Orbit] = {}
+    root_of: dict[int, int] = {}
+    for e in graph.edges:
+        root_of.setdefault(e.src, e.src)
+        words, cycles = roots.setdefault(e.src, Orbit({e.src: IDENTITY}, ()))
+        if e.dst in words:
+            roots[e.src] = Orbit(words, cycles + (words[e.dst] @ e.gen,))
+        else:
+            words[e.dst] = e.gen.inv()
+            root_of[e.dst] = e.src
+    return tuple(
+        roots.get(f) or Orbit({f: IDENTITY}, ())
+        for f in range(graph.n_faces)
+        if root_of.get(f, f) == f
+    )
 
 
 def modular_rank_dim(graph, k: int) -> int:

@@ -273,7 +273,7 @@ def test_vertical_feet_are_arc_ends():
 
 
 def test_form_without_arc_raises(monkeypatch):
-    monkeypatch.setattr(arrangement, "semicircle_interval", lambda q: None)
+    monkeypatch.setattr(arrangement, "arc_ends", lambda q: None)
     with pytest.raises(RuntimeError, match="has no arc in the strip"):
         build_arrangement(5)
 

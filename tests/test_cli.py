@@ -501,6 +501,17 @@ def test_sweep_parallel_matches_serial(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_150_SHA256, jobs
 
 
+# sha256 of `mlp sweep --max-disc 1200 --weights 0,-2,-4` stdout: the laws
+# past the benchmark's D <= 150, where arcs cross in larger groups
+SWEEP_1200_SHA256 = "99e6970429e8520b6dd8ee047c58e67ef68f123c7f88a320999221d4c7a843dc"
+
+
+def test_sweep_1200_pinned(capsys):
+    code, out, err = run(capsys, "sweep", "--max-disc", "1200", "--weights", "0,-2,-4")
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == SWEEP_1200_SHA256
+
+
 # sha256 of `mlp sweep --max-disc 60 --weights 0,-2 --augmented` stdout
 SWEEP_AUGMENTED_60_SHA256 = "c9335319a24bb79134b20a8c3dcd9479056b4b73f37127dbe24c393686f7a7a7"
 

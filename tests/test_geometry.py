@@ -109,12 +109,23 @@ def _oracle_forms(disc: int) -> set[tuple[int, int, int]]:
     return out
 
 
+def _canonical_key(q):
+    """Semicircles by (a, |b|, b < 0, c), then vertical lines by -c/b."""
+    if q.a:
+        return (0, q.a, abs(q.b), q.b < 0, q.c)
+    return (1, Fraction(-q.c, q.b), 0, 0, 0)
+
+
 def test_enumerate_forms_matches_independent_scan():
-    for disc in range(1, 51):
+    # the forms of every valid D <= 400, each once, in canonical order
+    for disc in range(1, 401):
         if disc % 4 not in (0, 1):
             continue
-        got = {(q.a, q.b, q.c) for q in enumerate_forms(disc)}
+        forms = enumerate_forms(disc)
+        got = {(q.a, q.b, q.c) for q in forms}
         assert got == _oracle_forms(disc), f"D={disc}"
+        assert len(got) == len(forms), f"D={disc}"
+        assert forms == sorted(forms, key=_canonical_key), f"D={disc}"
 
 
 def test_enumerate_forms_pinned_examples():

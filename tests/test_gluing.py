@@ -22,9 +22,9 @@ from mlp import (
 )
 from mlp.geometry import is_square
 from mlp.gluing import GluingMismatch
-from mlp.polyspace import fixed_space, slash_matrix
+from mlp.polyspace import fixed_space, slash_matrix, solve_space
 
-from _support import I_POINT, RHO_POINT, quotient_orbit_count
+from _support import I_POINT, RHO_POINT, eager_orbits, quotient_orbit_count
 
 HALF = Fraction(1, 2)
 MINUS_I = Mat2(-1, 0, 0, -1)
@@ -258,3 +258,37 @@ def test_orbit_data_invariant_under_face_relabeling():
             assert rpartition == partition
             for w in (2, 4):
                 assert orbit_dims(rorbits, w) == orbit_dims(orbits, w)
+
+
+def _assert_reads_as_eager(orbits, eager, label):
+    assert len(orbits) == len(eager), label
+    assert tuple(orbits) == eager, label
+    assert [orbits[i] for i in range(-len(eager), len(eager))] == [*eager, *eager], label
+    with pytest.raises(IndexError):
+        orbits[len(eager)]
+    assert orbits.glued == tuple(
+        (i, orb) for i, orb in enumerate(eager) if orb.cycles or len(orb.words) > 1
+    ), label
+
+
+def test_orbits_agree_with_the_eager_tuple():
+    # a free face is counted, and its Orbit built only when read: the
+    # sequence reads as the tuple with an Orbit for every face, and
+    # solve_space gives the same spaces from its glued view as from a walk
+    # of that tuple
+    for disc in [*(d for d in range(1, 401) if d % 4 in (0, 1)), 1201, 2500]:
+        fc = build_arrangement(disc)
+        graph = build_gluing_graph(fc)
+        orbits, eager = orbits_and_cycles(graph), eager_orbits(graph)
+        _assert_reads_as_eager(orbits, eager, disc)
+        for k in (0, -2, -8):
+            lazy, walked = solve_space(fc, orbits, k), solve_space(fc, eager, k)
+            assert (lazy.dim, lazy.fixed) == (walked.dim, walked.fixed), (disc, k)
+    # the arrangement numbers every twin after every root; a graph whose
+    # twins come before later roots shifts those roots' orbit indices
+    for n, edges in [
+        (4, [(0, 1, T), (2, 2, S)]),
+        (7, [(3, 4, S), (0, 2, T), (5, 5, T), (0, 2, S)]),
+    ]:
+        graph = GluingGraph(n, tuple(GluingEdge(a, b, g) for a, b, g in edges))
+        _assert_reads_as_eager(orbits_and_cycles(graph), eager_orbits(graph), edges)
