@@ -102,7 +102,8 @@ def cmd_basis(args: argparse.Namespace) -> int:
     polys: dict[tuple[str, ...], str] = {}
     for i, elem in enumerate(rec["basis"], start=1):
         lines.append(f"element {i}")
-        for face in sorted(elem, key=int):
+        # faces by number; an element on one face, as most are, needs no sort
+        for face in sorted(elem, key=int) if len(elem) > 1 else elem:
             coeffs = tuple(elem[face])
             poly = polys.get(coeffs)
             if poly is None:

@@ -6,6 +6,9 @@ of degree at most w = -k, stored as a coefficient vector in the basis
 (cX+d)^w P((aX+b)/(cX+d)), an integer matrix on coefficient vectors, and
 the space attached to a gluing graph is cut out orbit by orbit: the root
 polynomial must be fixed by every cycle word, everything else is transport.
+
+A coefficient is an int when it is an integer and a Fraction, denominator
+> 1, only when it is not.
 """
 
 from __future__ import annotations
@@ -15,10 +18,10 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, isqrt, lcm
 from operator import mul
-from typing import Sequence, Union
+from typing import Sequence
 
 from .arrangement import FaceComplex, build_arrangement
-from .geometry import IDENTITY, AlgebraicPoint, ExactComplex, Mat2, is_even_square, reduce_point
+from .geometry import IDENTITY, AlgebraicPoint, ExactComplex, Mat2, Rat, is_even_square, reduce_point
 from .gluing import Orbit, Orbits, build_gluing_graph, orbits_and_cycles
 
 
@@ -31,9 +34,6 @@ def check_weight(k: int) -> int:
     if isinstance(k, bool) or not isinstance(k, int) or k > 0 or k % 2:
         raise InvalidWeight(f"invalid weight {k} (need an even integer <= 0)")
     return -k
-
-
-_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def _poly_mul(p: list[int], q: list[int]) -> list[int]:
@@ -64,13 +64,15 @@ class SlashMatrix:
         )
         return SlashMatrix(prod)
 
-    def apply(self, vec: Sequence[Union[Fraction, int]]) -> tuple[Fraction, ...]:
-        # integer dot products over one common denominator, one Fraction per
-        # nonzero entry; a zero entry is the shared _ZERO
+    def apply(self, vec: Sequence[Rat]) -> tuple[Rat, ...]:
+        # integer dot products over one common denominator; an entry it
+        # divides is an int, any other a Fraction
         den = lcm(*(x.denominator for x in vec))
         nums = [x.numerator * (den // x.denominator) for x in vec]
         sums = [sum(map(mul, row, nums)) for row in self.mat]
-        return tuple(Fraction(t, den) if t else _ZERO for t in sums)
+        if den == 1:
+            return tuple(sums)
+        return tuple(Fraction(t, den) if t % den else t // den for t in sums)
 
 
 def slash_matrix(g: Mat2, w: int) -> SlashMatrix:
@@ -88,7 +90,7 @@ def slash_matrix(g: Mat2, w: int) -> SlashMatrix:
     return SlashMatrix(tuple(rows))
 
 
-def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fraction, ...]]:
+def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Rat, ...]]:
     """Basis of the joint fixed space {v : M v = v for every M}.
 
     Integer Gauss-Jordan on the rows of M - I, each kept primitive (divided by
@@ -96,8 +98,9 @@ def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fracti
     entry in its column, so each row stays a multiple of its row in the
     reduced echelon form. A kernel vector is read off over one lcm of the
     pivot entries and scaled so its first nonzero coefficient (lowest degree)
-    is 1; the vectors come out ordered by free column. With no constraints
-    this is the standard basis.
+    is 1, each entry an int where that scaling divides it and a Fraction
+    elsewhere; the vectors come out ordered by free column. With no
+    constraints this is the standard basis.
     """
     n = w + 1
     rows: list[list[int]] = []
@@ -135,7 +138,7 @@ def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Fracti
         for ri, pc in enumerate(pivots):
             v[pc] = -rows[ri][free] * (scale // rows[ri][pc])
         lead = next(x for x in v if x)
-        basis.append(tuple([Fraction(x, lead) for x in v]))
+        basis.append(tuple([Fraction(x, lead) if x % lead else x // lead for x in v]))
     return basis
 
 
@@ -183,11 +186,11 @@ class LocalPolySpace:
         return _bound(self.k, self.complex.face_count())
 
     @cached_property
-    def units(self) -> tuple[tuple[Fraction, ...], ...]:
+    def units(self) -> tuple[tuple[int, ...], ...]:
         """The standard basis of coefficient vectors, 1, X, ..., X^w: the one
         tuple every free root takes."""
         n = self.w + 1
-        return tuple(tuple(_ONE if i == j else _ZERO for i in range(n)) for j in range(n))
+        return tuple(tuple(int(i == j) for i in range(n)) for j in range(n))
 
     @cached_property
     def roots(self) -> tuple[tuple[dict[int, Mat2], Sequence], ...]:
@@ -204,11 +207,11 @@ class LocalPolySpace:
         """Per orbit with root vectors (per face when augmented), its faces in
         increasing order and, per face, the tuple of vectors the root vectors
         transport to. Equal transports are one shared tuple: the identity's
-        face holds the root's own vectors, and a free root's images under a
-        word are its slash matrix's columns."""
-        units = self.units
-        # orbits share words and root lists; the memo, self.roots and these
-        # dicts keep every matrix, list and tuple alive, so no id is reused
+        face holds the root's own vectors, a free root's images under a word
+        are its slash matrix's columns, and a face alone holds (units,)."""
+        units, n = self.units, self.complex.face_count()
+        # glued orbits share words and root lists; the memo, self.fixed and
+        # these dicts keep every matrix, list and tuple alive, so no id is reused
         owned: dict[int, tuple] = {id(units): units}
         images: dict[tuple[int, int], tuple] = {}
 
@@ -216,36 +219,38 @@ class LocalPolySpace:
             key = (id(m), id(vecs))
             out = images.get(key)
             if out is None:
-                if vecs is units:
-                    # m e_j is column j, read as apply would give it
-                    out = tuple(tuple(Fraction(t) if t else _ZERO for t in col)
-                                for col in zip(*m.mat))
-                else:
-                    out = tuple(m.apply(v) for v in vecs)
+                # m e_j is column j
+                out = tuple(zip(*m.mat)) if vecs is units else tuple(m.apply(v) for v in vecs)
                 images[key] = out
             return out
 
         memo, w = self.memo, self.w
-        view = []
-        for words, vecs in self.roots:
+        # each glued face maps to its orbit's entry at the root and to None at
+        # a twin or at a root whose fixed space is zero
+        at: dict[int, tuple | None] = {}
+        # an augmented space has no matching conditions: monomials on every face
+        for i, orb in () if self.augmented else _glued(self.orbits):
+            words = orb.words
+            faces = tuple(sorted(words))
+            at.update(dict.fromkeys(faces))
+            vecs = self.fixed.get(i, units)
             if not vecs:
                 continue
             # a fixed space is a list in the memo; its orbits share one tuple
             own = owned.get(id(vecs))
             if own is None:
                 own = owned[id(vecs)] = tuple(vecs)
-            faces = tuple(sorted(words))
             # the memo holds every word of an orbit with vectors but never the
             # identity, whose face carries the root vectors as they are
-            rows = tuple(
+            at[faces[0]] = faces, tuple(
                 own if words[f] == IDENTITY else image(memo[(words[f], w)], own)
                 for f in faces
             )
-            view.append((faces, rows))
-        return tuple(view)
+        alone = (units,)
+        return tuple([e for f in range(n) if (e := at.get(f, ((f,), alone))) is not None])
 
     @cached_property
-    def basis(self) -> tuple[dict[int, tuple[Fraction, ...]], ...]:
+    def basis(self) -> tuple[dict[int, tuple[Rat, ...]], ...]:
         """One element per root vector, flattened from by_orbit in its order."""
         return tuple(
             dict(zip(faces, row)) for faces, rows in self.by_orbit for row in zip(*rows)
@@ -284,11 +289,7 @@ def solve_space(
             m = memo[(g, w)] = slash_matrix(g, w)
         return m
 
-    if isinstance(orbits, Orbits):
-        glued = orbits.glued
-    else:
-        glued = [(i, orb) for i, orb in enumerate(orbits) if orb.cycles or len(orb.words) > 1]
-    for i, orb in glued:
+    for i, orb in _glued(orbits):
         vecs = None
         if orb.cycles:
             words = tuple([g for g in orb.cycles if g != IDENTITY])
@@ -305,6 +306,14 @@ def solve_space(
                     slash(g)
     dim = (w + 1) * (len(orbits) - len(fixed)) + sum(map(len, fixed.values()))
     return LocalPolySpace(k, False, fc, orbits, dim, fixed, memo)
+
+
+def _glued(orbits: Sequence[Orbit]) -> Sequence[tuple[int, Orbit]]:
+    """The orbits with a cycle or more than one face, with their indices:
+    an Orbits lists them, any other sequence is walked for them."""
+    if isinstance(orbits, Orbits):
+        return orbits.glued
+    return [(i, orb) for i, orb in enumerate(orbits) if orb.cycles or len(orb.words) > 1]
 
 
 def _bound(k: int, rf: int) -> int:
@@ -360,7 +369,13 @@ def check_laws(
     fails = cusp_law(disc, fc.cusp_face_count())
     root = isqrt(disc)
     if root * root == disc and root % 2:
-        cusp_orbits = sum(1 for orb in orbits if not fc.cusp_faces.isdisjoint(orb.words))
+        cusp = fc.cusp_faces
+        if isinstance(orbits, Orbits):
+            # every face is in one orbit, alone or glued with at most one twin
+            pairs = [orb for _, orb in orbits.glued if len(orb.words) == 2]
+            cusp_orbits = len(cusp) - sum(cusp.issuperset(orb.words) for orb in pairs)
+        else:
+            cusp_orbits = sum(1 for orb in orbits if not cusp.isdisjoint(orb.words))
         if cusp_orbits != root:
             fails.append(f"D={disc}: cusp orbit count {cusp_orbits}, expected {root}")
     for space in spaces:
@@ -374,7 +389,7 @@ def compute_space(disc: int, k: int, augmented: bool = False) -> LocalPolySpace:
     return solve_space(fc, orbits_and_cycles(build_gluing_graph(fc)), k, augmented)
 
 
-def _eval_poly(coeffs: Sequence[Fraction], z: ExactComplex) -> ExactComplex:
+def _eval_poly(coeffs: Sequence[Rat], z: ExactComplex) -> ExactComplex:
     acc = ExactComplex(Fraction(0))
     for c in reversed(coeffs):
         acc = acc * z + c
@@ -396,6 +411,6 @@ def evaluate(space: LocalPolySpace, index: int, point: AlgebraicPoint) -> ExactC
     elem = space.basis[index]
     vecs = [elem[f] for f in faces if f in elem]
     if not vecs:
-        return ExactComplex(_ZERO)
-    mean = [sum(cs) / len(faces) for cs in zip(*vecs)]
+        return ExactComplex(0)
+    mean = [Fraction(sum(cs), len(faces)) for cs in zip(*vecs)]
     return _eval_poly(slash_matrix(g, space.w).apply(mean), ExactComplex.from_point(point))

@@ -1,8 +1,9 @@
 """JSON result records, the `mlp faces` layout, and exact rendering of
 basis polynomials.
 
-Coefficients are serialized as "p/q" strings so records round-trip without
-any float ever appearing. Key layout is fixed so that identical inputs give
+Coefficients, ints where integral and Fractions elsewhere, are serialized as
+"p/q" strings, an int t as "t/1", so records round-trip without any float
+ever appearing. Key layout is fixed so that identical inputs give
 byte-identical files (the cache relies on this).
 
 `ResultRecord.to_json(space)` writes that layout straight from the space's
@@ -28,7 +29,7 @@ from .geometry import check_discriminant, is_even_square
 from .polyspace import LocalPolySpace, check_weight, cusp_law, dim_laws
 
 
-def frac_str(f: Fraction) -> str:
+def frac_str(f: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 

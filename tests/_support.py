@@ -55,6 +55,16 @@ def random_word(rng: random.Random, max_len: int = 10) -> Mat2:
     return g
 
 
+def coeffs_canonical(vecs: Iterable[Iterable]) -> bool:
+    """The library's coefficient rule: every coefficient of the vectors is an
+    int when it is an integer and otherwise a Fraction with denominator > 1."""
+    return all(
+        type(c) is int or (type(c) is Fraction and c.denominator > 1)
+        for vec in vecs
+        for c in vec
+    )
+
+
 def _segment_hits_form(form, p0, p1) -> bool:
     # form value along the straight segment is a quadratic q(t), t in [0,1];
     # endpoints are assumed off the geodesic, so q(0), q(1) != 0

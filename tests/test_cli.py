@@ -613,12 +613,17 @@ def test_sweep_and_dim_build_no_face_sample(capsys, monkeypatch):
 
 
 # sha256 of `mlp dim` stdout for large queries: a non-square with two cycle
-# orbits, an odd square with 223 two-face orbits, and a high weight. D = 9801
-# at k = -2 gives 256a6b7f68c4216c…, but takes seconds, so it is not pinned
+# orbits, an odd square with 223 two-face orbits, a high weight, the largest
+# odd square of the scale golden (125,590 faces) and the even square 10000 at
+# two weights. The last three take about a second each on a 2-core x86_64
+# box with Python 3.11
 LARGE_DIM_SHA256 = {
     (9997, -2): "15ebe3d8864da390693b55b51201b89d7aa99036f8de88dcbf5120ed90485a1b",
     (2401, -2): "ff170cdb8d3a9f214f9b7c20654f4df71678acd42a14bcde374a96b62b4088d1",
     (1201, -8): "d9043b1929293f8b85eef03c8c6459c3975fb73a7fe8687a7ffc03568a1a422c",
+    (9801, -2): "256a6b7f68c4216c8e49b0e5b04254d586f70c291d3d7dfd0113b034233bd1c0",
+    (10000, -2): "b990f2a04668321f5020b740c3db68a4b4671823f0743a2d094a4634a8c2ffce",
+    (10000, -4): "3cb39dbadf2f6ad4082db5b723eba25c9ee1f6bc95d2e1f36b96f6514fc00f40",
 }
 
 

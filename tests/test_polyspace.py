@@ -16,6 +16,7 @@ from mlp import (
     InvalidWeight,
     Mat2,
     Orbit,
+    Orbits,
     build_arrangement,
     build_gluing_graph,
     check_laws,
@@ -33,6 +34,7 @@ from mlp.polyspace import (
 )
 
 from _support import (
+    coeffs_canonical,
     deficit_law_dim,
     exceptional_points,
     modular_rank_dim,
@@ -85,7 +87,7 @@ def test_slash_apply_matches_fraction_reference():
             for vec in (mixed, ints, both, [0] * (w + 1)):
                 got = m.apply(vec)
                 assert got == _reference_apply(m, vec)
-                assert all(type(x) is Fraction for x in got)
+                assert coeffs_canonical([got])
 
 
 def test_slash_matrix_pins():
@@ -439,8 +441,33 @@ def test_basis_matches_element_by_element_transport():
             for elem, ref in zip(space.basis, expect):
                 # the same vectors on the same faces, in the same order
                 assert list(elem.items()) == list(ref.items()), (disc, k, augmented)
-                for vec in elem.values():
-                    assert {Fraction} == set(map(type, vec)), (disc, k, augmented)
+                assert coeffs_canonical(elem.values()), (disc, k, augmented)
+
+
+def test_coefficients_are_ints_unless_fractional():
+    rng = random.Random(3301)
+    # fixed spaces with fractional entries: low-rank constraints and words
+    fractional = 0
+    for _ in range(200):
+        w = rng.choice((2, 4, 6, 8))
+        cons = [_low_rank_constraint(rng, w), slash_matrix(random_word(rng), w)]
+        cons = cons[:rng.randint(1, 2)]
+        vecs = fixed_space(cons, w)
+        assert coeffs_canonical(vecs), cons
+        fractional += any(type(c) is Fraction for vec in vecs for c in vec)
+    assert fractional
+    for disc in [d for d in range(1, 101) if d % 4 in (0, 1)]:
+        fc = build_arrangement(disc)
+        orbits = orbits_and_cycles(build_gluing_graph(fc))
+        for k, augmented in [(0, False), (-2, False), (-12, False), (-4, True)]:
+            space = solve_space(fc, orbits, k, augmented=augmented)
+            assert coeffs_canonical(space.units), disc
+            for vecs in space.fixed.values():
+                assert coeffs_canonical(vecs), (disc, k)
+            # every row of the view, so every coefficient a record spells
+            for _, rows in space.by_orbit:
+                for row in rows:
+                    assert coeffs_canonical(row), (disc, k, augmented)
 
 
 def test_basis_transports_each_word_and_vector_once(monkeypatch):
@@ -583,6 +610,28 @@ def test_check_laws_reports_cusp_counts(monkeypatch):
     assert check_laws(fc, fewer, []) == ["D=9: cusp orbit count 2, expected 3"]
     monkeypatch.setattr(fc, "cusp_face_count", lambda: 3)
     assert check_laws(fc, orbits, []) == ["D=9: cuspFaces=3, expected 4"]
+
+
+def test_check_laws_counts_odd_square_cusp_orbits():
+    # an odd square has sqrt(D) + 1 cusp faces in sqrt(D) orbits: D = 9 has
+    # cusp faces 0, 4, 7 and 10, and 0 and 10 are one orbit
+    fc, orbits = _laws_input(9)
+    roots = {min(orb.words): orb for _, orb in orbits.glued}
+    assert sorted(fc.cusp_faces) == [0, 4, 7, 10] and set(roots[0].words) == {0, 10}
+    # glue the cusp faces 4 and 7 as well, or cut 0 from 10: only the orbit
+    # count breaks, read from the glued orbits alone
+    glued = Orbits(fc.face_count(), {**roots, 4: Orbit({4: IDENTITY, 7: T}, ())})
+    assert check_laws(fc, glued, []) == ["D=9: cusp orbit count 2, expected 3"]
+    # a cusp face glued to a face off the cusp is still one cusp orbit
+    mixed = Orbits(fc.face_count(), {**roots, 4: Orbit({4: IDENTITY, 5: T}, ())})
+    assert 5 not in fc.cusp_faces and check_laws(fc, mixed, []) == []
+    del roots[0]
+    cut = Orbits(fc.face_count(), roots)
+    assert check_laws(fc, cut, []) == ["D=9: cusp orbit count 4, expected 3"]
+    # the count from the glued orbits is the count over every orbit
+    for disc in (9, 25, 49, 81, 121):
+        fc, orbits = _laws_input(disc)
+        assert check_laws(fc, orbits, []) == check_laws(fc, tuple(orbits), []) == [], disc
 
 
 def test_evaluate_constant_element():
