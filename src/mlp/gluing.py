@@ -21,15 +21,15 @@ reference in the tests are what check the sweep. orbits_and_cycles likewise
 raises GluingMismatch on a graph the mirror law forbids.
 
 Most faces lie on no gluing edge. Each is an orbit by itself with no cycle,
-so orbits_and_cycles stores only the glued orbits and counts the free ones;
-solve_space reads the glued orbits alone.
+so orbits_and_cycles stores only the glued orbits and counts the free ones:
+the space layer reads the glued orbits alone, and iteration builds a free
+face's Orbit only for a caller that walks every orbit.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections.abc import Iterator, Sequence
-from dataclasses import dataclass
+from bisect import bisect_left
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .arrangement import FaceComplex
@@ -48,8 +48,7 @@ class GluingEdge(NamedTuple):
     gen: Mat2
 
 
-@dataclass(frozen=True)
-class GluingGraph:
+class GluingGraph(NamedTuple):
     n_faces: int
     edges: tuple[GluingEdge, ...]
 
@@ -96,13 +95,13 @@ class Orbit(NamedTuple):
     cycles: tuple[Mat2, ...]
 
 
-class Orbits(Sequence[Orbit]):
+class Orbits:
     """The orbits in order of their roots, as orbits_and_cycles finds them.
 
     Only the glued orbits, those whose faces lie on some gluing edge, are
-    stored. Every other face is a free orbit, the face alone with the
-    identity word and no cycle: len counts it, and iteration and indexing
-    build its Orbit when they reach it.
+    stored; glued lists them with their orbit indices. Every other face is a
+    free orbit, the face alone with the identity word and no cycle: len
+    counts it, and iteration builds its Orbit when it reaches it.
     """
 
     __slots__ = ("glued", "_n_faces", "_by_root", "_twins")
@@ -125,19 +124,6 @@ class Orbits(Sequence[Orbit]):
         for f in range(self._n_faces):
             if f not in twins:
                 yield roots.get(f) or Orbit({f: IDENTITY}, ())
-
-    def __getitem__(self, i: int) -> Orbit:
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(f"orbit index {i} out of range")
-        # the i-th face that is not a twin is i + j, j the twins up to it:
-        # the least fixed point of j -> twins up to i + j
-        twins, j = self._twins, 0
-        while (up := bisect_right(twins, i + j)) != j:
-            j = up
-        return self._by_root.get(i + j) or Orbit({i + j: IDENTITY}, ())
 
 
 def orbits_and_cycles(graph: GluingGraph) -> Orbits:

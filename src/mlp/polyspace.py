@@ -22,7 +22,7 @@ from typing import Sequence
 
 from .arrangement import FaceComplex, build_arrangement
 from .geometry import IDENTITY, AlgebraicPoint, ExactComplex, Mat2, Rat, is_even_square, reduce_point
-from .gluing import Orbit, Orbits, build_gluing_graph, orbits_and_cycles
+from .gluing import Orbits, build_gluing_graph, orbits_and_cycles
 
 
 class InvalidWeight(ValueError):
@@ -167,7 +167,7 @@ class LocalPolySpace:
     k: int
     augmented: bool
     complex: FaceComplex
-    orbits: Sequence[Orbit]
+    orbits: Orbits
     dim: int
     # orbit index -> the vectors its root polynomial may take, for the orbits
     # with a non-identity cycle; every other root is free
@@ -229,7 +229,7 @@ class LocalPolySpace:
         # a twin or at a root whose fixed space is zero
         at: dict[int, tuple | None] = {}
         # an augmented space has no matching conditions: monomials on every face
-        for i, orb in () if self.augmented else _glued(self.orbits):
+        for i, orb in () if self.augmented else self.orbits.glued:
             words = orb.words
             faces = tuple(sorted(words))
             at.update(dict.fromkeys(faces))
@@ -259,7 +259,7 @@ class LocalPolySpace:
 
 def solve_space(
     fc: FaceComplex,
-    orbits: Sequence[Orbit],
+    orbits: Orbits,
     k: int,
     augmented: bool = False,
     *,
@@ -269,11 +269,11 @@ def solve_space(
 
     Only orbits with a non-identity cycle solve for their root vectors, and
     only orbits of more than one face get slash matrices for transport, so
-    only the glued orbits are read: an Orbits lists them, any other sequence
-    is walked for them. The basis is transported when it is first read, with
-    the matrices the space keeps in its memo. memo holds slash matrices keyed
-    by (word, w) and fixed spaces keyed by (cycle words, w), so calls that
-    share it build each once. Without one, the call shares nothing.
+    only orbits.glued is read. The basis is transported when it is first
+    read, with the matrices the space keeps in its memo. memo holds slash
+    matrices keyed by (word, w) and fixed spaces keyed by (cycle words, w),
+    so calls that share it build each once. Without one, the call shares
+    nothing.
     """
     w = check_weight(k)
     if memo is None:
@@ -289,7 +289,7 @@ def solve_space(
             m = memo[(g, w)] = slash_matrix(g, w)
         return m
 
-    for i, orb in _glued(orbits):
+    for i, orb in orbits.glued:
         vecs = None
         if orb.cycles:
             words = tuple([g for g in orb.cycles if g != IDENTITY])
@@ -306,14 +306,6 @@ def solve_space(
                     slash(g)
     dim = (w + 1) * (len(orbits) - len(fixed)) + sum(map(len, fixed.values()))
     return LocalPolySpace(k, False, fc, orbits, dim, fixed, memo)
-
-
-def _glued(orbits: Sequence[Orbit]) -> Sequence[tuple[int, Orbit]]:
-    """The orbits with a cycle or more than one face, with their indices:
-    an Orbits lists them, any other sequence is walked for them."""
-    if isinstance(orbits, Orbits):
-        return orbits.glued
-    return [(i, orb) for i, orb in enumerate(orbits) if orb.cycles or len(orb.words) > 1]
 
 
 def _bound(k: int, rf: int) -> int:
@@ -359,23 +351,21 @@ def dim_laws(disc: int, k: int, augmented: bool, dim: int, rf: int, orbit_count:
 
 
 def check_laws(
-    fc: FaceComplex, orbits: Sequence[Orbit], spaces: Sequence[LocalPolySpace]
+    fc: FaceComplex, orbits: Orbits, spaces: Sequence[LocalPolySpace]
 ) -> list[str]:
     """Every way the complex, its orbits and its spaces break the paper's laws,
     as one message each, in order; empty when all hold: cusp_law, then for an
-    odd square the cusp faces' sqrt(D) orbits, then dim_laws per space.
+    odd square the cusp faces' sqrt(D) orbits, counted from orbits.glued, then
+    dim_laws per space.
     """
     disc, rf = fc.disc, fc.face_count()
     fails = cusp_law(disc, fc.cusp_face_count())
     root = isqrt(disc)
     if root * root == disc and root % 2:
         cusp = fc.cusp_faces
-        if isinstance(orbits, Orbits):
-            # every face is in one orbit, alone or glued with at most one twin
-            pairs = [orb for _, orb in orbits.glued if len(orb.words) == 2]
-            cusp_orbits = len(cusp) - sum(cusp.issuperset(orb.words) for orb in pairs)
-        else:
-            cusp_orbits = sum(1 for orb in orbits if not cusp.isdisjoint(orb.words))
+        # every face is in one orbit, alone or glued with at most one twin
+        pairs = [orb for _, orb in orbits.glued if len(orb.words) == 2]
+        cusp_orbits = len(cusp) - sum(cusp.issuperset(orb.words) for orb in pairs)
         if cusp_orbits != root:
             fails.append(f"D={disc}: cusp orbit count {cusp_orbits}, expected {root}")
     for space in spaces:

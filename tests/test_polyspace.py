@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -398,7 +399,7 @@ def test_empty_joint_fixed_space():
     for w, n in ((0, 1), (2, 0), (4, 0), (12, 0)):
         assert len(fixed_space([slash_matrix(S, w), slash_matrix(T, w)], w)) == n, w
     fc = build_arrangement(5)
-    orbits = (Orbit({0: IDENTITY, 1: T.inv()}, (S, T)), Orbit({2: IDENTITY}, ()))
+    orbits = Orbits(3, {0: Orbit({0: IDENTITY, 1: T.inv()}, (S, T))})
     space = solve_space(fc, orbits, -2)
     assert space.fixed == {0: []}
     assert space.dim == 3 == len(space.basis)
@@ -605,8 +606,9 @@ def test_check_laws_reports_cusp_counts(monkeypatch):
     # an odd square has sqrt(D) + 1 cusp faces in sqrt(D) orbits
     fc, orbits = _laws_input(9)
     assert check_laws(fc, orbits, []) == []
-    cusp_orbit = next(o for o in orbits if not fc.cusp_faces.isdisjoint(o.words))
-    fewer = tuple(o for o in orbits if o is not cusp_orbit)
+    # glue the cusp faces 4 and 7: one cusp orbit fewer
+    roots = {min(orb.words): orb for _, orb in orbits.glued}
+    fewer = Orbits(fc.face_count(), {**roots, 4: Orbit({4: IDENTITY, 7: T}, ())})
     assert check_laws(fc, fewer, []) == ["D=9: cusp orbit count 2, expected 3"]
     monkeypatch.setattr(fc, "cusp_face_count", lambda: 3)
     assert check_laws(fc, orbits, []) == ["D=9: cuspFaces=3, expected 4"]
@@ -631,7 +633,9 @@ def test_check_laws_counts_odd_square_cusp_orbits():
     # the count from the glued orbits is the count over every orbit
     for disc in (9, 25, 49, 81, 121):
         fc, orbits = _laws_input(disc)
-        assert check_laws(fc, orbits, []) == check_laws(fc, tuple(orbits), []) == [], disc
+        assert check_laws(fc, orbits, []) == [], disc
+        walked = sum(not fc.cusp_faces.isdisjoint(orb.words) for orb in orbits)
+        assert walked == isqrt(disc), disc
 
 
 def test_evaluate_constant_element():

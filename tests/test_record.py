@@ -9,6 +9,7 @@ import pytest
 
 import mlp.record
 from mlp import (
+    Orbits,
     __version__,
     build_arrangement,
     build_gluing_graph,
@@ -224,7 +225,10 @@ def test_record_lists_faces_in_increasing_order():
     # order an orbit's words list them in
     fc = build_arrangement(97)
     orbits = orbits_and_cycles(build_gluing_graph(fc))
-    backwards = tuple(orb._replace(words=dict(reversed(orb.words.items()))) for orb in orbits)
+    backwards = Orbits(fc.face_count(), {
+        min(orb.words): orb._replace(words=dict(reversed(orb.words.items())))
+        for _, orb in orbits.glued
+    })
     assert [list(orb.words) for orb in backwards] != [list(orb.words) for orb in orbits]
     for k in (0, -8):
         space = solve_space(fc, backwards, k)
