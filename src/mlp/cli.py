@@ -62,9 +62,15 @@ def _record(
     check_discriminant(disc)
     check_weight(k)
     path = _cache_path(disc, k, augmented)
-    if path and os.path.exists(path):
+    try:
+        # opened, not tested first: a record removed in between is a miss,
+        # and so is a cache directory that is a file
+        fh = open(path, encoding="utf-8") if path else None
+    except (FileNotFoundError, NotADirectoryError):
+        fh = None
+    if fh is not None:
         try:
-            with open(path, encoding="utf-8") as fh:
+            with fh:
                 text = fh.read()
             rec = ResultRecord.from_json(text)
         except ValueError:

@@ -13,10 +13,11 @@ A coefficient is an int when it is an integer and a Fraction, denominator
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm
 from operator import mul
 from typing import Sequence
 
@@ -34,17 +35,6 @@ def check_weight(k: int) -> int:
     if isinstance(k, bool) or not isinstance(k, int) or k > 0 or k % 2:
         raise InvalidWeight(f"invalid weight {k} (need an even integer <= 0)")
     return -k
-
-
-def _poly_mul(p: list[int], q: list[int]) -> list[int]:
-    # one pass of p per nonzero term of q: a word with a zero entry makes
-    # every power of (cX+d) in slash_matrix a monomial
-    out = [0] * (len(p) + len(q) - 1)
-    for j, qj in enumerate(q):
-        if qj:
-            for i, pi in enumerate(p, j):
-                out[i] += pi * qj
-    return out
 
 
 @dataclass(frozen=True)
@@ -76,15 +66,32 @@ class SlashMatrix:
 
 
 def slash_matrix(g: Mat2, w: int) -> SlashMatrix:
+    """The matrix of P -> P|g = (cX+d)^w P((aX+b)/(cX+d)) on polynomials of
+    degree at most w, w even and >= 0: column j holds the coefficients of
+    (aX+b)^j (cX+d)^(w-j), lowest degree first.
+
+    Column 0 is (cX+d)^w by the binomial theorem, and column j+1 is column j
+    times (aX+b)/(cX+d): cX+d divides the product exactly, so the quotient is
+    read from the constant term up when d != 0, and is a shift when d == 0
+    (then bc = -1, so c = 1/c = +-1).
+    """
     if w < 0 or w % 2:
         raise InvalidWeight(f"invalid degree {w} (need an even integer >= 0)")
-    # column j holds the coefficients of (aX+b)^j (cX+d)^(w-j), from running
-    # powers up[j] = (aX+b)^j and down[j] = (cX+d)^j
-    up, down = [[1]], [[1]]
+    a, b, c, d = g
+    col = [comb(w, i) * c**i * d ** (w - i) for i in range(w + 1)]
+    cols = [col]
     for _ in range(w):
-        up.append(_poly_mul(up[-1], [g.b, g.a]))
-        down.append(_poly_mul(down[-1], [g.d, g.c]))
-    cols = [_poly_mul(up[j], down[w - j]) for j in range(w + 1)]
+        if d:
+            # q_i = (p_i - c q_(i-1)) / d, with p_i = a col_(i-1) + b col_i
+            q, prev = [], 0
+            for lo, hi in zip([0, *col], col):
+                prev = (a * lo + b * hi - c * prev) // d
+                q.append(prev)
+        else:
+            # q_i = p_(i+1) / c
+            q = [(a * lo + b * hi) * c for lo, hi in zip(col, [*col[1:], 0])]
+        cols.append(q)
+        col = q
     # tuples here are built from lists, as on the arrangement's sweep path
     rows = list(zip(*cols))
     return SlashMatrix(tuple(rows))
@@ -93,22 +100,27 @@ def slash_matrix(g: Mat2, w: int) -> SlashMatrix:
 def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Rat, ...]]:
     """Basis of the joint fixed space {v : M v = v for every M}.
 
-    Integer Gauss-Jordan on the rows of M - I, each kept primitive (divided by
-    the gcd of its entries): a pivot updates only the rows with a nonzero
-    entry in its column, so each row stays a multiple of its row in the
-    reduced echelon form. A kernel vector is read off over one lcm of the
-    pivot entries and scaled so its first nonzero coefficient (lowest degree)
-    is 1, each entry an int where that scaling divides it and a Fraction
-    elsewhere; the vectors come out ordered by free column. With no
-    constraints this is the standard basis.
+    Integer forward elimination of the rows of M - I to echelon form, each
+    row kept primitive (divided by the gcd of its entries) and zero rows
+    dropped: a pivot updates only the rows below it with a nonzero entry in
+    its column. Each free column f gives the kernel vector that is 1 at f
+    and 0 at every other free column, read by back-substitution: the pivots
+    left of f, last first, each solved from the nonzero entries right of
+    it, whose sum a row gathers as the vector's entries are set, and the
+    vector kept integral by scaling it where a pivot does not divide. That
+    vector is unique, and it is scaled so its first nonzero coefficient
+    (lowest degree) is 1, each entry an int where that scaling divides it
+    and a Fraction elsewhere; the vectors come out ordered by free column.
+    With no constraints this is the standard basis.
     """
     n = w + 1
     rows: list[list[int]] = []
     for m in constraints:
         if len(m.mat) != n:
             raise InvalidWeight("constraint weight does not match")
-        for i in range(n):
-            row = [m.mat[i][j] - (i == j) for j in range(n)]
+        for i, mrow in enumerate(m.mat):
+            row = list(mrow)
+            row[i] -= 1
             if any(row):
                 rows.append(_primitive(row))
     pivots: list[int] = []
@@ -119,24 +131,53 @@ def fixed_space(constraints: Sequence[SlashMatrix], w: int) -> list[tuple[Rat, .
             continue
         rows[r], rows[hit] = rows[hit], rows[r]
         prow, p = rows[r], rows[r][col]
-        for i, row in enumerate(rows):
+        # rows from r on are zero left of col, and an update zeroes col
+        head, tail = [0] * (col + 1), prow[col + 1:]
+        below = []
+        for row in rows[r + 1:]:
             f = row[col]
-            if f and i != r:
+            if f:
                 g = gcd(p, f)
                 a, b = p // g, f // g
-                rows[i] = _primitive([a * x - b * y for x, y in zip(row, prow)])
+                rest = [a * x - b * y for x, y in zip(row[col + 1:], tail)]
+                # a row that cancelled to zero constrains nothing
+                if not any(rest):
+                    continue
+                row = _primitive(head + rest)
+            below.append(row)
+        rows[r + 1:] = below
         pivots.append(col)
-        # rows past the pivots that cancelled to zero constrain nothing
-        rows[r + 1:] = [row for row in rows[r + 1:] if any(row)]
         if r + 1 == len(rows):
             break
-    scale = lcm(*[rows[ri][pc] for ri, pc in enumerate(pivots)])
+    # column j -> (row, entry) for each row nonzero at j right of its pivot
+    hits: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for ri, (pc, row) in enumerate(zip(pivots, rows)):
+        for j in range(pc + 1, n):
+            if row[j]:
+                hits[j].append((ri, row[j]))
     basis = []
     for free in (c for c in range(n) if c not in pivots):
         v = [0] * n
-        v[free] = scale
-        for ri, pc in enumerate(pivots):
-            v[pc] = -rows[ri][free] * (scale // rows[ri][pc])
+        v[free] = 1
+        # row -> its entries right of its pivot dotted with v: v is 0 right of
+        # the free column, and so at every pivot right of it
+        sums = dict(hits[free])
+        for ri in range(bisect_left(pivots, free) - 1, -1, -1):
+            s = sums.pop(ri, 0)
+            if not s:
+                continue
+            pc = pivots[ri]
+            p = rows[ri][pc]
+            if s % p:
+                g = gcd(p, s)
+                scale = p // g
+                v = [x * scale for x in v]
+                sums = {r: x * scale for r, x in sums.items()}
+                t = v[pc] = -(s // g)
+            else:
+                t = v[pc] = -(s // p)
+            for r, x in hits[pc]:
+                sums[r] = sums.get(r, 0) + x * t
         lead = next(x for x in v if x)
         basis.append(tuple([Fraction(x, lead) if x % lead else x // lead for x in v]))
     return basis

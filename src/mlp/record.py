@@ -150,22 +150,31 @@ class ResultRecord(dict):
     @classmethod
     def to_json(cls, space: LocalPolySpace) -> str:
         """The text of `space`'s record, written orbit by orbit from its
-        by_orbit view: each distinct vector is spelt and laid out once, each
-        distinct tuple of an orbit's rows is one template of its elements
-        with the face keys left as slots, and an orbit is its template
-        filled with its faces. No object is built per basis element."""
+        by_orbit view: each distinct coefficient value is spelt once, each
+        distinct vector is laid out once, each distinct tuple of an orbit's
+        rows is one template of its elements with the face keys left as
+        slots, and an orbit is its template filled with its faces. No object
+        is built per basis element."""
         # the vector and row tuples repeat as objects (shared transports, the
         # standard basis); space.by_orbit keeps each alive for this call, so
         # no id is reused
         blocks: dict[int, str] = {}
         templates: dict[tuple[int, ...], str] = {}
         pieces: dict[int, list[str]] = {}
+        # each distinct coefficient value, quoted: a coefficient is an int or
+        # a Fraction of denominator > 1, so equal values spell alike
+        quoted: dict[Fraction | int, str] = {}
+
+        def quote(c: Fraction | int) -> str:
+            # coefficients are "-", digits and "/": no escaping, no "%"
+            out = quoted[c] = f'"{frac_str(c)}"'
+            return out
 
         def block(vec: tuple) -> str:
             out = blocks.get(id(vec))
             if out is None:
-                # coefficients are "-", digits and "/": no escaping, no "%"
-                out = blocks[id(vec)] = _layout([f'"{frac_str(c)}"' for c in vec], " " * 6)
+                items = [quoted.get(c) or quote(c) for c in vec]
+                out = blocks[id(vec)] = _layout(items, " " * 6)
             return out
 
         def template(rows: tuple) -> str:

@@ -4,6 +4,7 @@ import concurrent.futures
 import dataclasses
 import hashlib
 import json
+import os
 import xml.etree.ElementTree as ET
 from collections import Counter
 from fractions import Fraction
@@ -336,6 +337,31 @@ def test_cache_key_separates_augmented(capsys, tmp_path, monkeypatch):
     run(capsys, "dim", "--disc", "5", "--weight", "-2", "--augmented")
     names = sorted(p.name for p in tmp_path.iterdir() if p.suffix == ".json")
     assert names == ["v0.1.0_D5_k-2.json", "v0.1.0_D5_k-2_aug.json"]
+
+
+@pytest.mark.parametrize("cmd", ["dim", "basis"])
+def test_cache_record_removed_before_it_is_read_is_a_miss(capsys, tmp_path, monkeypatch, cmd):
+    # the record exists when a query would test for it and is gone when the
+    # query opens it: the query computes and writes the record again
+    _, uncached, _ = run(capsys, cmd, "--disc", "5", "--weight", "-2")
+    monkeypatch.setenv("MLP_CACHE_DIR", str(tmp_path))
+    cache_file = tmp_path / "v0.1.0_D5_k-2.json"
+    exists = os.path.exists
+    monkeypatch.setattr(cli.os.path, "exists", lambda p: p == str(cache_file) or exists(p))
+    code, out, err = run(capsys, cmd, "--disc", "5", "--weight", "-2")
+    assert (code, out, err) == (0, uncached, "")
+    assert cache_file.exists()
+
+
+def test_cache_dir_that_is_a_file_only_warns(capsys, tmp_path, monkeypatch):
+    _, uncached, _ = run(capsys, "dim", "--disc", "5", "--weight", "-2")
+    blocker = tmp_path / "cache"
+    blocker.write_text("", encoding="utf-8")
+    monkeypatch.setenv("MLP_CACHE_DIR", str(blocker))
+    # no record can be read there or written: the answer is computed
+    code, out, err = run(capsys, "dim", "--disc", "5", "--weight", "-2")
+    assert code == 0 and out == uncached
+    assert err.startswith(f"warning: cache record {blocker}")
 
 
 def test_cache_write_failure_leaves_no_file(capsys, tmp_path, monkeypatch):

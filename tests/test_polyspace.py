@@ -126,6 +126,12 @@ def test_slash_matrix_matches_reference_expansion():
         words = [IDENTITY, S, T, T.inv() @ S] + [random_word(rng) for _ in range(30)]
         for g in words:
             assert slash_matrix(g, w).mat == _reference_slash_matrix(g, w), (g, w)
+    # large w, where each column is divided out of the one before: d = 0 (S,
+    # its inverse and T^-1 S), c = 0 (T and its inverse) and random words
+    for w in (32, 48):
+        words = [S, S.inv(), T, T.inv(), T.inv() @ S] + [random_word(rng) for _ in range(4)]
+        for g in words:
+            assert slash_matrix(g, w).mat == _reference_slash_matrix(g, w), (g, w)
 
 
 def test_slash_matrix_weight_zero_is_trivial():
@@ -263,6 +269,14 @@ def test_fixed_space_matches_fraction_reference():
         for words in sets:
             cons = [slash_matrix(g, w) for g in words]
             assert fixed_space(cons, w) == _fraction_fixed_space(cons, w), (words, w)
+    # the cycle words at large w, where back-substitution runs over many
+    # pivots per free column
+    for w in (32, 48):
+        for g in cycle_words:
+            cons = [slash_matrix(g, w)]
+            vecs = fixed_space(cons, w)
+            assert vecs == _fraction_fixed_space(cons, w), (g, w)
+            assert coeffs_canonical(vecs), (g, w)
 
 
 def test_compute_space_d5_pinned_basis():

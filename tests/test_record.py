@@ -255,8 +255,6 @@ def test_from_space_spells_each_vector_once(monkeypatch):
 
 
 def test_to_json_spells_each_vector_once(monkeypatch):
-    space = compute_space(144, -12)
-    vectors = {id(vec) for elem in space.basis for vec in elem.values()}
     calls = 0
     real = mlp.record.frac_str
 
@@ -266,5 +264,13 @@ def test_to_json_spells_each_vector_once(monkeypatch):
         return real(f)
 
     monkeypatch.setattr(mlp.record, "frac_str", counting)
-    ResultRecord.to_json(space)
-    assert calls <= (space.w + 1) * len(vectors)
+    # an even square (monomials only) and a non-square with cycle orbits
+    for disc, k in ((144, -12), (85, -12)):
+        space = compute_space(disc, k)
+        vectors = {id(vec) for elem in space.basis for vec in elem.values()}
+        calls = 0
+        ResultRecord.to_json(space)
+        assert calls <= (space.w + 1) * len(vectors), disc
+        # and each distinct coefficient value is spelt once per record
+        values = {c for elem in space.basis for vec in elem.values() for c in vec}
+        assert calls <= len(values), disc
