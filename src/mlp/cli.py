@@ -17,6 +17,7 @@ import json
 import os
 import sys
 import tempfile
+from contextlib import ExitStack
 
 from . import __version__
 from .arrangement import build_arrangement
@@ -108,8 +109,7 @@ def cmd_basis(args: argparse.Namespace) -> int:
     polys: dict[tuple[str, ...], str] = {}
     for i, elem in enumerate(rec["basis"], start=1):
         lines.append(f"element {i}")
-        # faces by number; an element on one face, as most are, needs no sort
-        for face in sorted(elem, key=int) if len(elem) > 1 else elem:
+        for face in elem:
             coeffs = tuple(elem[face])
             poly = polys.get(coeffs)
             if poly is None:
@@ -166,20 +166,21 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     discs = [d for d in range(1, args.max_disc + 1) if d % 4 in (0, 1)]
     tasks = [(d, weights, args.augmented) for d in discs]
     _SWEEP_MEMO.clear()
-    if args.jobs > 1:
-        # imported here: only --jobs needs the pool, and it is slow to import
-        from concurrent.futures import ProcessPoolExecutor
-
-        # a pool forks every worker at its first submit
-        with ProcessPoolExecutor(max_workers=min(args.jobs, len(tasks))) as pool:
-            results = list(pool.map(_sweep_task, tasks))
-    else:
-        results = [_sweep_task(t) for t in tasks]
     all_fails: list[str] = []
-    for lines, fails in results:
-        for line in lines:
-            print(line)
-        all_fails.extend(fails)
+    with ExitStack() as stack:
+        if args.jobs > 1:
+            # imported here: only --jobs needs the pool, and it is slow to import
+            from concurrent.futures import ProcessPoolExecutor
+
+            # a pool forks every worker at its first submit
+            pool = stack.enter_context(ProcessPoolExecutor(min(args.jobs, len(tasks))))
+            results = pool.map(_sweep_task, tasks)
+        else:
+            results = map(_sweep_task, tasks)
+        # each D's lines as its task returns, in order of D
+        for lines, fails in results:
+            print("\n".join(lines))
+            all_fails.extend(fails)
     if all_fails:
         for f in all_fails:
             print(f"FAIL {f}", file=sys.stderr)

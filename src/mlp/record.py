@@ -9,10 +9,10 @@ byte-identical files (the cache relies on this).
 `ResultRecord.to_json(space)` writes that layout straight from the space's
 orbits; its text equals `json.dumps(ResultRecord.from_space(space),
 indent=2) + "\n"`, whose indenting encoder runs in pure Python, and both
-take the fields other than the basis from `_fields`.
-`ResultRecord.from_json` is the one reader of the format: it returns only
-what `from_space` could have built. A record is read-only: equal coefficient
-vectors share one list of strings.
+take the fields other than the basis from `_fields` and the spelling from
+`_Spelling`. `ResultRecord.from_json` is the one reader of the format: it
+returns only what `from_space` could have built. A record is read-only:
+equal coefficient vectors share one list of strings.
 """
 
 from __future__ import annotations
@@ -20,8 +20,9 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, compress, repeat
 from math import gcd
+from operator import ge, lt
 
 from . import __version__
 from .arrangement import FaceComplex
@@ -31,6 +32,19 @@ from .polyspace import LocalPolySpace, check_weight, cusp_law, dim_laws
 
 def frac_str(f: Fraction | int) -> str:
     return f"{f.numerator}/{f.denominator}"
+
+
+class _Spelling(dict):
+    """Each distinct coefficient value's frac_str in `form`, made on its first
+    lookup: coefficients are ints or Fractions of denominator > 1, so equal
+    values spell alike."""
+
+    def __init__(self, form: str = "%s"):
+        self.form = form
+
+    def __missing__(self, c: Fraction | int) -> str:
+        out = self[c] = self.form % frac_str(c)
+        return out
 
 
 def render_poly(coeffs) -> str:
@@ -124,12 +138,13 @@ class ResultRecord(dict):
         # basis); space.by_orbit keeps each alive for this call, so no id is
         # reused
         spelt: dict[int, list[list[str]]] = {}
+        value = _Spelling().__getitem__
         names = [str(face) for face in range(space.complex.face_count())]
 
         def spell(vecs: tuple) -> list[list[str]]:
             out = spelt.get(id(vecs))
             if out is None:
-                out = spelt[id(vecs)] = [[frac_str(c) for c in vec] for vec in vecs]
+                out = spelt[id(vecs)] = [list(map(value, vec)) for vec in vecs]
             return out
 
         basis: list[dict[str, list[str]]] = []
@@ -161,20 +176,13 @@ class ResultRecord(dict):
         blocks: dict[int, str] = {}
         templates: dict[tuple[int, ...], str] = {}
         pieces: dict[int, list[str]] = {}
-        # each distinct coefficient value, quoted: a coefficient is an int or
-        # a Fraction of denominator > 1, so equal values spell alike
-        quoted: dict[Fraction | int, str] = {}
-
-        def quote(c: Fraction | int) -> str:
-            # coefficients are "-", digits and "/": no escaping, no "%"
-            out = quoted[c] = f'"{frac_str(c)}"'
-            return out
+        # coefficients are "-", digits and "/": no escaping, no "%"
+        quoted = _Spelling('"%s"').__getitem__
 
         def block(vec: tuple) -> str:
             out = blocks.get(id(vec))
             if out is None:
-                items = [quoted.get(c) or quote(c) for c in vec]
-                out = blocks[id(vec)] = _layout(items, " " * 6)
+                out = blocks[id(vec)] = _layout(list(map(quoted, vec)), " " * 6)
             return out
 
         def template(rows: tuple) -> str:
@@ -225,9 +233,9 @@ class ResultRecord(dict):
         evenSquare is D's; rF, cuspFaces and orbitCount have 0 < orbitCount
         <= rF and obey cusp_law and dim_laws; and the basis is dim non-empty
         objects mapping face numbers below rF to lists of 1 - k "p/q" strings
-        in lowest terms, not all zero. `forms` is not checked: that would
-        enumerate D's forms on every read. Nor are layout, face order within
-        an element or duplicate keys: each would cost a check per element or
+        in lowest terms, not all zero, each element's faces in increasing
+        order. `forms` is not checked: that would enumerate D's forms on every
+        read. Nor are layout or duplicate keys: each would cost a check per
         object, or a to_json per read."""
         try:
             rec = json.loads(text)
@@ -262,6 +270,11 @@ class ResultRecord(dict):
         faces = set().union(*basis)
         if not (_FACES.fullmatch(",".join(faces)) and max(map(int, faces)) < rf):
             raise ValueError("record face keys are not faces below rF")
+        # an element of two or more faces has an order; each distinct one is read once
+        for keys in set(map(tuple, compress(basis, map(lt, repeat(1), map(len, basis))))):
+            order = list(map(int, keys))
+            if any(map(ge, order, order[1:])):
+                raise ValueError("record face keys are not in increasing order")
         coeffs = list(chain.from_iterable(map(dict.values, basis)))
         if not ({list}.issuperset(map(type, coeffs)) and {1 - k}.issuperset(map(len, coeffs))):
             raise ValueError(f"record faces do not each hold {1 - k} coefficients")

@@ -21,6 +21,11 @@ or orbit of the library.
 The deficit law gives the dimension from the orbit count and three flags read
 off the forms (does the cusp, i or rho lie on no geodesic), so it shares no
 input with the cycles and fixed spaces the library solves.
+
+The basis certifier checks a printed basis against the gluing graph alone:
+every element satisfies every edge's relation, by slash arithmetic of its
+own, and the elements are independent. It trusts no orbit, word, fixed space
+or slash matrix of the library.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ from mlp import (
     eval_form,
 )
 from mlp.geometry import is_square, semicircle_interval
+from mlp.record import ResultRecord
 
 HALF = Fraction(1, 2)
 
@@ -386,6 +392,85 @@ def modular_rank_dim(graph, k: int) -> int:
                 row[key] = row.get(key, 0) - cols[j][i]
             rows.append(row)
     return n * graph.n_faces - max(_rank_mod(rows, p) for p in RANK_PRIMES)
+
+
+def _rank(vectors: list) -> int:
+    """Rank over Q of rational vectors, by exact elimination."""
+    rows = [list(map(Fraction, vec)) for vec in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        hit = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if hit is None:
+            continue
+        rows[rank], rows[hit] = rows[hit], rows[rank]
+        prow = rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] / prow[col]
+            if f:
+                rows[r] = [x - f * y for x, y in zip(rows[r], prow)]
+        rank += 1
+    return rank
+
+
+def certify_basis(elements, graph, k: int) -> None:
+    """Raise AssertionError unless the elements are independent elements of
+    the weight-k space of the gluing graph.
+
+    Each element maps a face to its coefficients, lowest degree first, and is
+    0 on a face it does not name. It must satisfy P_src = P_dst | gen on
+    every edge that touches its faces, slashed by the binomial columns of
+    _slash_columns. The elements are grouped by their set of faces: the sets
+    must be disjoint and each group's vectors at its least face independent,
+    which together make the elements independent.
+    """
+    w = -k
+    zero = (0,) * (w + 1)
+    cols: dict = {}
+    touching: dict[int, set] = {}
+    for e in graph.edges:
+        if e.gen not in cols:
+            cols[e.gen] = _slash_columns(e.gen, w)
+        touching.setdefault(e.src, set()).add(e)
+        touching.setdefault(e.dst, set()).add(e)
+    groups: dict[frozenset, list] = {}
+    for n, elem in enumerate(elements):
+        assert elem and all(0 <= f < graph.n_faces for f in elem), n
+        for e in set().union(*(touching.get(f, ()) for f in elem)):
+            dst = elem.get(e.dst, zero)
+            slashed = [sum(c * col[i] for c, col in zip(dst, cols[e.gen])) for i in range(w + 1)]
+            assert list(elem.get(e.src, zero)) == slashed, (n, e)
+        groups.setdefault(frozenset(elem), []).append(elem)
+    seen: set[int] = set()
+    for faces, group in groups.items():
+        assert seen.isdisjoint(faces), sorted(faces)
+        seen |= faces
+        least = min(faces)
+        assert _rank([elem[least] for elem in group]) == len(group), sorted(faces)
+
+
+def certify_record(text: str, graph) -> None:
+    """certify_basis on the basis of the record text, read through
+    ResultRecord.from_json, with rF the graph's face count. An augmented
+    record claims no matching condition, so it is certified against the
+    graph's faces without its edges: independence alone."""
+    rec = ResultRecord.from_json(text)
+    assert rec["rF"] == graph.n_faces
+    values: dict[str, Fraction] = {}
+
+    def value(spelt: str) -> Fraction:
+        out = values.get(spelt)
+        if out is None:
+            p, _, q = spelt.partition("/")
+            out = values[spelt] = Fraction(int(p), int(q))
+        return out
+
+    elements = [
+        {int(face): list(map(value, coeffs)) for face, coeffs in elem.items()}
+        for elem in rec["basis"]
+    ]
+    if rec["flags"]["augmented"]:
+        graph = graph._replace(edges=())
+    certify_basis(elements, graph, rec["k"])
 
 
 I_POINT = AlgebraicPoint(Fraction(0), Fraction(1))

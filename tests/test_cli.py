@@ -419,6 +419,8 @@ def _corrupt(text: str, case: str) -> str:
         obj["basis"][0]["0"] = ["1/1"]
     elif case == "face not below rF":
         obj["basis"][1]["99"] = obj["basis"][1]["1"]
+    elif case == "face keys out of order":
+        obj["basis"][1] = dict(reversed(obj["basis"][1].items()))
     elif case == "face key has a leading zero":
         obj["basis"][0]["01"] = obj["basis"][0]["0"]
     elif case == "coefficient not in lowest terms":
@@ -468,7 +470,8 @@ def _corrupt(text: str, case: str) -> str:
      "dim", "dim != len(basis)", "basis is a string", "D is a float",
      "flags.augmented is 0", "coefficient is a number", "coefficient is a list",
      "coefficient is not p/q", "coefficient has a tail", "wrong coefficient count",
-     "face not below rF", "face key has a leading zero", "coefficient not in lowest terms",
+     "face not below rF", "face key has a leading zero", "face keys out of order",
+     "coefficient not in lowest terms",
      "coefficient is minus zero", "numerator has a leading zero", "zero over two",
      "rF is a string", "orbitCount is a float", "empty basis", "empty basis element",
      "coefficients all zero", "evenSquare is true",
@@ -506,6 +509,29 @@ def test_sweep_small(capsys):
     code, out, err = run(capsys, "sweep", "--max-disc", "20", "--weights=-2,-4")
     assert code == 0 and err == ""
     assert out.splitlines()[-1].endswith("weights [-2, -4]")
+
+
+def test_sweep_prints_each_discriminant_as_its_task_returns(capsys, monkeypatch):
+    # when a D's task starts, the D before it is on stdout: a long sweep
+    # shows its lines as it goes, in order, and prints the same bytes
+    _, whole, _ = run(capsys, "sweep", "--max-disc", "20", "--weights", "0,-2")
+    task = cli._sweep_task
+    before: list[str] = []
+
+    def watched(t):
+        before.append(capsys.readouterr().out)
+        return task(t)
+
+    monkeypatch.setattr(cli, "_sweep_task", watched)
+    code, rest, err = run(capsys, "sweep", "--max-disc", "20", "--weights", "0,-2")
+    assert code == 0 and err == ""
+    assert "".join(before) + rest == whole
+    discs = [d for d in range(1, 21) if d % 4 in (0, 1)]
+    assert before[0] == "" and len(before) == len(discs)
+    for prev, printed in zip(discs, before[1:]):
+        assert [line.split()[:2] for line in printed.splitlines()] == [
+            [f"D={prev}", "k=0"], [f"D={prev}", "k=-2"]
+        ]
 
 
 # sha256 of `mlp sweep --max-disc 150 --weights 0,-2,-4` stdout

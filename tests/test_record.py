@@ -19,6 +19,8 @@ from mlp import (
 )
 from mlp.record import ResultRecord, frac_str, render_poly
 
+from _support import certify_basis, certify_record
+
 
 def test_frac_strings_round_trip():
     for f in (Fraction(0), Fraction(1), Fraction(-3, 7), Fraction(22, 4)):
@@ -134,6 +136,10 @@ def test_from_json_refuses_what_from_space_cannot_write():
         obj[key] = value
         return json.dumps(obj)
 
+    # the basis at D=5, k=-2: face 0 alone, then faces 1 and 2
+    one, two = json.loads(text)["basis"]
+    vec = two["1"]
+
     bad = [
         text[: len(text) // 2],
         text.replace('"D": 5,', '"D": 5.0,'),
@@ -146,7 +152,10 @@ def test_from_json_refuses_what_from_space_cannot_write():
         edited("basis", 2),
         edited("basis", [1, 2]),
         edited("basis", [{"0": 1}, {"1": 1}]),
-        edited("basis", [json.loads(text)["basis"][0], {}]),
+        edited("basis", [one, {}]),
+        # faces out of order: reversed, and out of order past the first pair
+        edited("basis", [one, dict(reversed(two.items()))]),
+        edited("basis", [one, {"0": vec, "2": vec, "1": vec}]),
         text.replace('"1/1",\n        "-1/1",\n        "1/1"', '"0/1",\n        "0/1",\n        "0/1"'),
     ]
     for spelt in bad:
@@ -196,6 +205,41 @@ def _spaces():
         orbits = orbits_and_cycles(build_gluing_graph(fc))
         for k, aug in [(k, False) for k in (0, -2, -4, -8, -12)] + [(0, True), (-2, True)]:
             yield solve_space(fc, orbits, k, augmented=aug)
+
+
+def test_printed_basis_is_certified():
+    # every basis mlp prints is a basis of its space, checked against the
+    # gluing graph by the tests' own slash arithmetic: every valid D <= 150
+    # at k = 0, -2, -8, augmented at k = -2, and one large non-square
+    for disc in [d for d in range(1, 151) if d % 4 in (0, 1)]:
+        fc = build_arrangement(disc)
+        graph = build_gluing_graph(fc)
+        orbits = orbits_and_cycles(graph)
+        for k, aug in ((0, False), (-2, False), (-8, False), (-2, True)):
+            certify_record(ResultRecord.to_json(solve_space(fc, orbits, k, augmented=aug)), graph)
+    space = compute_space(9997, -2)
+    certify_record(ResultRecord.to_json(space), build_gluing_graph(space.complex))
+
+
+def test_certifier_refuses_what_is_not_a_basis():
+    # D=5, k=-2: face 0 alone, then faces 1 and 2 joined by a T edge and an
+    # S edge
+    graph = build_gluing_graph(build_arrangement(5))
+    basis = list(compute_space(5, -2).basis)
+    certify_basis(basis, graph, -2)
+    broken = [
+        # an element twice: dependent
+        basis + [basis[1]],
+        # a coefficient changed on a glued face: off the relation
+        [basis[0], {1: basis[1][1], 2: (1, -1, 2)}],
+        # the glued element without its twin: off the relation
+        [basis[0], {1: basis[1][1]}],
+        # their sum: in the space, but its face set meets theirs
+        [basis[0], basis[1], {0: (1, 0, 0), 1: basis[1][1], 2: basis[1][2]}],
+    ]
+    for elements in broken:
+        with pytest.raises(AssertionError):
+            certify_basis(elements, graph, -2)
 
 
 # sha256 of the texts of every space _spaces() yields, concatenated in order,
@@ -271,6 +315,10 @@ def test_to_json_spells_each_vector_once(monkeypatch):
         calls = 0
         ResultRecord.to_json(space)
         assert calls <= (space.w + 1) * len(vectors), disc
-        # and each distinct coefficient value is spelt once per record
+        # and each distinct coefficient value is spelt once per record, by
+        # the writer and by from_space alike
         values = {c for elem in space.basis for vec in elem.values() for c in vec}
+        assert calls <= len(values), disc
+        calls = 0
+        ResultRecord.from_space(space)
         assert calls <= len(values), disc

@@ -5,8 +5,13 @@ from __future__ import annotations
 import ast
 import importlib
 import inspect
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+from mutants import MUTANTS
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "mlp"
 
@@ -131,3 +136,21 @@ def test_library_writes_attributes_only_on_self():
         and not (isinstance(node.value, ast.Name) and node.value.id == "self")
     ]
     assert found == []
+
+
+def test_mutants_apply():
+    # every mutant of the catalogue can still be made, and the tests it must
+    # fail still exist; tests/mutants.py runs them
+    root = SRC.parent.parent
+    assert len({m.name for m in MUTANTS}) == len(MUTANTS)
+    for m in MUTANTS:
+        assert m.file.startswith("src/mlp/") and m.old != m.new and m.tests, m.name
+        assert (root / m.file).read_text(encoding="utf-8").count(m.old) == 1, m.name
+    ids = sorted({t for m in MUTANTS for t in m.tests})
+    # pytest exits 4 on a node id it cannot find
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *ids],
+        cwd=root, env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
