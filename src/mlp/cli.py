@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Subcommands: forms, dim, basis, faces, sweep. Exit codes: 0 success,
-1 a sweep check failed, 2 bad discriminant, 3 bad weight, 4 I/O trouble.
+1 a sweep check failed, 2 bad discriminant or usage, 3 bad weight, 4 I/O
+trouble, quietly when stdout's reader has gone.
 Set MLP_CACHE_DIR to cache dim/basis records on disk; identical queries then
 return byte-identical output without recomputation. The record format, its
 reader included, lives in `record`: a cached record is served only if
@@ -15,9 +16,10 @@ import argparse
 import functools
 import json
 import os
+import re
 import sys
 import tempfile
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 
 from . import __version__
 from .arrangement import build_arrangement
@@ -196,53 +198,139 @@ def _positive_int(text: str) -> int:
     return n
 
 
+# An option's value may start with "-" only where argparse reads it as a
+# negative number, not as an option: no option of mlp looks like one.
+_NEGATIVE = re.compile(r"-\d+|-\d*\.\d+")
+
+_Command = tuple[argparse.ArgumentParser, dict[str, argparse.Action]]
+
+
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: parse_args keeps no state in it."""
+def _parsers() -> tuple[argparse.ArgumentParser, str, dict[str, _Command]]:
+    """The parser, the dest of its subcommand and its option table, built once
+    per process: parse_args keeps no state in them. The table maps each
+    subcommand to its parser and each of its option strings to the action
+    add_argument returned for it."""
     parser = argparse.ArgumentParser(
         prog="mlp",
         description="Exact dimensions and bases of modular local polynomial spaces.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    table: dict[str, _Command] = {}
 
-    p = sub.add_parser("forms", help="list the geodesic forms meeting the domain")
-    p.add_argument("--disc", type=int, required=True)
-    p.set_defaults(func=cmd_forms)
+    def command(name: str, func, summary: str):
+        """Add subcommand `name`, and return its add_argument, which also
+        files each action it adds in the table."""
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
+        options: dict[str, argparse.Action] = {}
+        table[name] = p, options
 
-    p = sub.add_parser("dim", help="dimension record as JSON")
-    p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--augmented", action="store_true", help="drop all matching conditions")
-    p.set_defaults(func=cmd_dim)
+        def add(*args, **kwargs) -> None:
+            action = p.add_argument(*args, **kwargs)
+            options.update(dict.fromkeys(action.option_strings, action))
 
-    p = sub.add_parser("basis", help="explicit basis, face by face")
-    p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--weight", type=int, required=True)
-    p.add_argument("--augmented", action="store_true")
-    p.add_argument("--json", metavar="PATH", help="also write the raw record here")
-    p.set_defaults(func=cmd_basis)
+        return add
 
-    p = sub.add_parser("faces", help="face counts, flags, optional SVG")
-    p.add_argument("--disc", type=int, required=True)
-    p.add_argument("--svg", metavar="PATH", help="write a picture of the decomposition")
-    p.add_argument("--precision", type=_positive_int, default=12, help="SVG significant digits")
-    p.set_defaults(func=cmd_faces)
+    add = command("forms", cmd_forms, "list the geodesic forms meeting the domain")
+    add("--disc", type=int, required=True)
 
-    p = sub.add_parser("sweep", help="verify the dimension laws over a range")
-    p.add_argument("--max-disc", type=_positive_int, required=True, help="the largest D swept")
-    p.add_argument("--weights", default="0,-2,-4",
-                   help="comma-separated; write --weights=-2,-4 when the first is negative")
-    p.add_argument("--jobs", type=_positive_int, default=1, help="worker processes")
-    p.add_argument("--augmented", action="store_true")
-    p.set_defaults(func=cmd_sweep)
-    return parser
+    add = command("dim", cmd_dim, "dimension record as JSON")
+    add("--disc", type=int, required=True)
+    add("--weight", type=int, required=True)
+    add("--augmented", action="store_true", help="drop all matching conditions")
+
+    add = command("basis", cmd_basis, "explicit basis, face by face")
+    add("--disc", type=int, required=True)
+    add("--weight", type=int, required=True)
+    add("--augmented", action="store_true")
+    add("--json", metavar="PATH", help="also write the raw record here")
+
+    add = command("faces", cmd_faces, "face counts, flags, optional SVG")
+    add("--disc", type=int, required=True)
+    add("--svg", metavar="PATH", help="write a picture of the decomposition")
+    add("--precision", type=_positive_int, default=12, help="SVG significant digits")
+
+    add = command("sweep", cmd_sweep, "verify the dimension laws over a range")
+    add("--max-disc", type=_positive_int, required=True, help="the largest D swept")
+    add("--weights", default="0,-2,-4",
+        help="comma-separated; write --weights=-2,-4 when the first is negative")
+    add("--jobs", type=_positive_int, default=1, help="worker processes")
+    add("--augmented", action="store_true")
+    return parser, sub.dest, table
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process."""
+    return _parsers()[0]
+
+
+def _read_argv(argv: list[str]) -> argparse.Namespace | None:
+    """What `build_parser().parse_args(argv)` returns, read straight through
+    the option table, or None.
+
+    The read takes only a subcommand followed by its options, each spelt in
+    full, given once and followed by its value unless it is a flag; a value
+    starting with "-" must be a negative number. It converts each value with
+    its action's type, checks `required`, and fills the defaults and `func`
+    from the subcommand's parser. Any other argv, and any value the type
+    refuses, gives None and is left to argparse, the one grammar and the one
+    reporter of help and errors."""
+    _, dest, table = _parsers()
+    if not argv or argv[0] not in table:
+        return None
+    parser, options = table[argv[0]]
+    given: dict[argparse.Action, tuple[str, str | list]] = {}  # option, value
+    tokens = iter(argv[1:])
+    for option in tokens:
+        action = options.get(option)
+        if action is None or action in given:
+            return None
+        if action.nargs == 0:  # a flag, which argparse hands an empty list
+            given[action] = option, []
+            continue
+        text = next(tokens, None)
+        if action.nargs is not None or text is None or (
+            text.startswith("-") and not _NEGATIVE.fullmatch(text)
+        ):
+            return None
+        given[action] = option, text
+    values = {dest: argv[0], "func": parser.get_default("func")}
+    for action in options.values():
+        if action.required and action not in given:
+            return None
+        if action.default is not argparse.SUPPRESS:
+            values[action.dest] = action.default
+    args = argparse.Namespace(**values)
+    try:
+        # each action stores its value as it does under argparse
+        for action, (option, value) in given.items():
+            action(parser, args, action.type(value) if action.type else value, option)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):
+        return None
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _read_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a closed stdout shows here rather than in the flush at exit
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone (`mlp sweep | head -1`) and has no use for
+        # a message. Closing the process's own stdout drops what it still
+        # buffers, so the flush at exit has nothing left to fail on.
+        if sys.stdout is sys.__stdout__:
+            with suppress(OSError):
+                sys.stdout.close()
+        return 4
     except InvalidDiscriminant as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

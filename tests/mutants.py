@@ -130,6 +130,59 @@ MUTANTS = (
         "            words[e.dst] = e.gen\n",
         ("tests/test_record.py::test_printed_basis_is_certified",),
     ),
+    # the command line: main's read of argv and its broken-pipe handler
+    Mutant(
+        "the read lets a repeated option through, the first value winning",
+        "src/mlp/cli.py",
+        "        if action is None or action in given:\n            return None\n",
+        "        if action is None:\n            return None\n"
+        "        if action in given:\n            next(tokens, None)\n            continue\n",
+        ("tests/test_cli.py::test_argv_read_is_a_subset_of_argparse",),
+    ),
+    Mutant(
+        "the read skips the type, so a value stays a str",
+        "src/mlp/cli.py",
+        "action(parser, args, action.type(value) if action.type else value, option)",
+        "action(parser, args, value, option)",
+        ("tests/test_cli.py::test_argv_read_is_a_subset_of_argparse",
+         "tests/test_cli.py::test_main_serves_common_spellings_without_argparse"),
+    ),
+    Mutant(
+        "the read ignores required",
+        "src/mlp/cli.py",
+        "        if action.required and action not in given:\n",
+        "        if False:\n",
+        ("tests/test_cli.py::test_argv_read_is_a_subset_of_argparse",),
+    ),
+    Mutant(
+        "the read takes a value that only starts with a negative number",
+        "src/mlp/cli.py",
+        'text.startswith("-") and not _NEGATIVE.fullmatch(text)',
+        'text.startswith("-") and not _NEGATIVE.match(text)',
+        ("tests/test_cli.py::test_argv_read_is_a_subset_of_argparse",),
+    ),
+    Mutant(
+        "the broken-pipe handler swallows every OSError",
+        "src/mlp/cli.py",
+        "    except BrokenPipeError:\n",
+        "    except OSError:\n",
+        ("tests/test_cli.py::test_basis_json_io_error",
+         "tests/test_cli.py::test_faces_svg_io_error"),
+    ),
+    Mutant(
+        "the broken-pipe handler leaves stdout's buffer to the flush at exit",
+        "src/mlp/cli.py",
+        "            with suppress(OSError):\n                sys.stdout.close()\n",
+        "            pass\n",
+        ("tests/test_cli.py::test_closed_stdout_ends_quietly[forms]",),
+    ),
+    Mutant(
+        "main leaves stdout's last flush to the exit",
+        "src/mlp/cli.py",
+        "        sys.stdout.flush()\n",
+        "",
+        ("tests/test_cli.py::test_closed_stdout_ends_quietly[forms]",),
+    ),
 )
 
 

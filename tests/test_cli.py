@@ -1,13 +1,21 @@
 from __future__ import annotations
 
+import argparse
 import concurrent.futures
+import contextlib
 import dataclasses
 import hashlib
+import io
+import itertools
 import json
 import os
+import random
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -777,3 +785,155 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == "mlp 0.1.0"
+
+
+# Each subcommand's options with well-formed values (None for a flag), and
+# the odd values and tokens mixed in: negative, malformed or empty values,
+# and tokens that look like options.
+OPTIONS = {
+    "forms": {"--disc": ["5", "8"]},
+    "dim": {"--disc": ["5", "12"], "--weight": ["-2", "0"], "--augmented": None},
+    "basis": {"--disc": ["5", "12"], "--weight": ["-2", "0"], "--augmented": None,
+              "--json": ["rec.json"]},
+    "faces": {"--disc": ["5", "8"], "--svg": ["faces.svg"], "--precision": ["6", "12"]},
+    "sweep": {"--max-disc": ["20", "5"], "--weights": ["0,-2", "-2", "0", ""],
+              "--jobs": ["1", "2"], "--augmented": None},
+}
+ODD_VALUES = ["-0", "-12", "-1.5", "-.5", "2.5", "x", "", "-", "--", "-x", "--disc",
+              "-2,-4", "a,b", " 5", "-2\n", "1e3", "0"]
+ODD_TOKENS = ["-h", "--help", "--version", "--", "extra", "-x", "5", "-2"]
+
+
+def _spellings(cmd: str) -> list[list[str]]:
+    """Every order of all of cmd's options, each with its first value."""
+    pairs = [[opt] if vals is None else [opt, vals[0]] for opt, vals in OPTIONS[cmd].items()]
+    return [[cmd, *itertools.chain(*order)] for order in itertools.permutations(pairs)]
+
+
+def _argv_corpus(n: int, seed: int) -> list[list[str]]:
+    """Random argvs near what mlp takes: a subcommand's options in a random
+    order, each present or not and each with a random value, then up to
+    three edits, each of which repeats, abbreviates, =-joins or cuts short
+    an option, gives it an odd value, inserts an odd token, borrows an option
+    of another subcommand or replaces the subcommand."""
+    rng = random.Random(seed)
+    corpus = []
+    for _ in range(n):
+        cmd = rng.choice(list(OPTIONS))
+        pairs = [
+            [opt] if vals is None else [opt, rng.choice(vals)]
+            for opt, vals in OPTIONS[cmd].items()
+            if rng.random() < 0.8
+        ]
+        rng.shuffle(pairs)
+        for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+            edit, i = rng.randrange(8), rng.randrange(len(pairs) + 1)
+            pair = pairs[i - 1] if i else []
+            if edit == 0 and pair:
+                pairs.insert(i, [pair[0], rng.choice(ODD_VALUES)] if len(pair) == 2 else pair)
+            elif edit == 1 and pair:
+                pair[0] = pair[0][:rng.randint(min(3, len(pair[0])), len(pair[0]))]
+            elif edit == 2 and len(pair) == 2:
+                pair[:] = [f"{pair[0]}={pair[1]}"]
+            elif edit == 3 and pair:
+                pair[:] = pair[:rng.randrange(len(pair))]
+            elif edit == 4 and len(pair) == 2:
+                pair[1] = rng.choice(ODD_VALUES)
+            elif edit == 5:
+                pairs.insert(i, [rng.choice(ODD_TOKENS)])
+            elif edit == 6:
+                opt, vals = rng.choice(list(OPTIONS[rng.choice(list(OPTIONS))].items()))
+                pairs.insert(i, [opt] if vals is None else [opt, rng.choice(vals)])
+            elif edit == 7:
+                cmd = rng.choice(["-h", "--help", "--version", "dimx", "di", "", "--", *OPTIONS])
+        corpus.append([cmd, *itertools.chain(*pairs)])
+    return corpus
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace | None:
+    """argparse's namespace, or None where it exits (an error, help, --version)."""
+    sink = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            return cli.build_parser().parse_args(argv)
+    except SystemExit:
+        return None
+
+
+def test_argv_read_is_a_subset_of_argparse():
+    # whenever main's read takes an argv, argparse returns the same
+    # namespace, and wherever argparse exits, the read leaves the argv to it
+    valid = [argv for cmd in OPTIONS for argv in _spellings(cmd)]
+    odd = [
+        [], ["-h"], ["--version"], ["dim", "-h"], ["dim", "--help"],
+        ["dim", "--disc", "5", "--weight", "-2", "-h"],
+        ["dim", "--", "--disc", "5", "--weight", "-2"],
+        ["dim", "--disc", "5", "--weight", "-2", "--"],
+        ["dim", "--disc=5", "--weight=-2"], ["dim", "--dis", "5", "--weight", "-2"],
+        ["dim", "--disc", "5", "--disc", "8", "--weight", "-2"],
+        ["dim", "--disc", "5", "--weight", "-2", "--augmented", "--augmented"],
+        ["dim", "--disc", "5", "--weight", "-2", "extra"], ["dim", "--disc", "5", "--weight"],
+        ["dim", "--disc", "x", "--weight", "-2"], ["dim", "--disc", "5"],
+        ["dim", "--disc", "5", "--weight", "-2", "--svg", "x"],
+        ["sweep", "--max-disc", "20", "--weights", "-2,-4"],
+        ["sweep", "--max-disc", "20", "--weights=-2,-4"], ["sweep", "--max-disc", "0"],
+        ["sweep", "--max-disc", "-1.5"], ["faces", "--disc", "5", "--precision", "-1"],
+    ]
+    corpus = valid + odd + _argv_corpus(3000, seed=37)
+    wrong, read, parsed = [], 0, 0
+    for argv in corpus:
+        mine, theirs = cli._read_argv(argv), _parse_args(argv)
+        read += mine is not None
+        parsed += theirs is not None
+        if mine is not None and mine != theirs:
+            wrong.append(argv)
+    assert wrong == []
+    # every well-formed spelling is read, and argparse takes more than the read
+    assert all(cli._read_argv(argv) is not None for argv in valid)
+    assert len(valid) < read < parsed
+
+
+def test_main_serves_common_spellings_without_argparse(capsys, monkeypatch):
+    argvs = [
+        ["dim", "--disc", "5", "--weight", "-2"],
+        ["basis", "--disc", "12", "--weight", "-2"],
+        ["sweep", "--max-disc", "20", "--weights", "0,-2", "--jobs", "1"],
+        ["faces", "--disc", "5"],
+        ["forms", "--disc", "8"],
+    ]
+    expected = [run(capsys, *argv) for argv in argvs]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse parsed the argv")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    served = [run(capsys, *argv) for argv in argvs]
+    assert served == expected
+    assert all(code == 0 for code, _, _ in served)
+
+
+@pytest.mark.parametrize("argv, lines", [
+    (["sweep", "--max-disc", "1000"], 1),
+    (["forms", "--disc", "5"], 0),
+], ids=["sweep", "forms"])
+def test_closed_stdout_ends_quietly(argv, lines):
+    # `mlp sweep --max-disc 1000 | head -1`: once stdout's reader has gone,
+    # mlp exits 4 and says nothing, neither an error line nor, at exit, a
+    # note about the stdout it could not flush. The sweep prints more than a
+    # pipe holds, so it writes again after the first line is read and the
+    # pipe closed; `forms` finds the pipe closed before it writes, and its
+    # few bytes wait in stdout's buffer, which is block-buffered as in a
+    # plain shell.
+    src = Path(cli.__file__).resolve().parent.parent
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-c", "import sys; from mlp.cli import main; sys.exit(main())", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0,
+        env=dict(env, PYTHONPATH=str(src)),
+    )
+    first = [proc.stdout.readline() for _ in range(lines)]
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert first == [b"D=1 k=0 dim=1 rF=2 orbits=1 bound=2 evenSquare=false\n"][:lines]
+    assert (proc.returncode, err) == (4, b"")
